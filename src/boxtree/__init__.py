@@ -17,7 +17,6 @@ from .geometry import (
     Region,
     SuperKey,
     boxes_intersect,
-    compare_superkey,
     intersects_region,
     merge_region,
     superkey,
@@ -32,14 +31,11 @@ from .memory_tree import (
 )
 from .engine import Engine, EngineConfig, PairDataset, PartitionedDataset
 from .distributed_tree import (
-    CutoffParams,
     TreeGraphEntry,
     TreeNodeValue,
     build_distributed_tree,
-    cutoff_depth,
     flatten_memory_subtree,
     four_way_presort,
-    measure_cutoff_params,
     region_from_sorted,
 )
 from .distributed_search import (

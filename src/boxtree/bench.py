@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .distributed_search import run_search
 from .distributed_tree import build_distributed_tree
@@ -48,7 +48,7 @@ def _bench_boxes(n: int):
 
 def _warm(engine: Engine) -> None:
     # spin up the pool threads outside the timed region
-    engine.from_items(range(engine.config.partitions * 2)).map(lambda x: x).collect()
+    engine.from_items(range(engine.config.workers * 2)).map(lambda x: x).collect()
 
 
 def run_build_bench(
@@ -56,14 +56,12 @@ def run_build_bench(
     max_exp: int,
     workers: int,
     repeats: int,
-    partitions: Optional[int] = None,
-    cutoff: Optional[int] = 0,
+    cutoff: int = 0,
 ) -> Tuple[List[BenchRecord], FitResult]:
     """Time the hybrid build for n = 2^min_exp .. 2^max_exp; fit n log n.
 
     The default cutoff of 0 collects at the root, which times the
-    memory-dominant hybrid path; pass FULL_DEPTH for the pure dataset path
-    or None for the auto cutoff.
+    memory-dominant hybrid path; pass FULL_DEPTH for the pure dataset path.
     """
     if min_exp > max_exp:
         raise ValueError("empty exponent range")
@@ -72,7 +70,7 @@ def run_build_bench(
     for exp in range(min_exp, max_exp + 1):
         n = 2**exp
         boxes = _bench_boxes(n)
-        with Engine(EngineConfig(workers, partitions)) as engine:
+        with Engine(EngineConfig(workers)) as engine:
             _warm(engine)
             best = float("inf")
             for rep in range(repeats):
@@ -90,7 +88,6 @@ def run_search_bench(
     max_exp: int,
     workers: int,
     repeats: int,
-    partitions: Optional[int] = None,
 ) -> Tuple[List[BenchRecord], FitResult]:
     """Time searching every box against the tree of all boxes; fit n log n."""
     if min_exp > max_exp:
@@ -100,7 +97,7 @@ def run_search_bench(
     for exp in range(min_exp, max_exp + 1):
         n = 2**exp
         boxes = _bench_boxes(n)
-        with Engine(EngineConfig(workers, partitions)) as engine:
+        with Engine(EngineConfig(workers)) as engine:
             _warm(engine)
             tree_ds = build_distributed_tree(boxes, engine, 0)
             search_ds = engine.from_items([(b.name, b) for b in boxes])
@@ -119,7 +116,6 @@ def run_scaling_bench(
     exp: int,
     max_workers: int,
     repeats: int,
-    partitions: Optional[int] = None,
     cutoff: int = FULL_DEPTH,
     phase: str = "build",
 ) -> Tuple[List[BenchRecord], FitResult]:
@@ -135,7 +131,7 @@ def run_scaling_bench(
     n = 2**exp
     boxes = _bench_boxes(n)
     worker_counts = range(1, max_workers + 1)
-    engines = {w: Engine(EngineConfig(w, partitions)) for w in worker_counts}
+    engines = {w: Engine(EngineConfig(w)) for w in worker_counts}
     records: List[BenchRecord] = []
     best = {w: float("inf") for w in worker_counts}
     try:

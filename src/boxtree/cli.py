@@ -36,22 +36,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build the distributed tree")
     p.add_argument("--in", dest="infile", required=True, help="input box CSV")
     p.add_argument("--workers", type=int, required=True)
-    p.add_argument("--partitions", type=int, default=None)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--cutoff-depth", type=int, default=None,
-                       help="depth at which to switch to in-memory subtree builds (default 0)")
-    group.add_argument("--auto-cutoff", action="store_true",
-                       help="pick the cutoff from measured build constants")
+    p.add_argument("--cutoff-depth", dest="cutoff", type=int, default=0,
+                   help="depth at which to switch to in-memory subtree builds (default 0)")
     p.add_argument("--out", required=True, help="output tree file (JSON lines)")
 
     p = sub.add_parser("search", help="search a tree with query boxes")
     p.add_argument("--tree", required=True, help="tree file from build")
     p.add_argument("--queries", required=True, help="query box CSV")
     p.add_argument("--workers", type=int, required=True)
-    p.add_argument("--partitions", type=int, default=None)
     p.add_argument("--out", required=True, help="output results CSV")
     p.add_argument("--verify", action="store_true",
-                   help="check results against the all-pairs oracle")
+                   help="check results against the brute-force oracle, square by square")
     p.add_argument("--squares", type=int, default=None,
                    help="square count the queries were generated with (for --verify)")
 
@@ -63,16 +58,14 @@ def _build_parser() -> argparse.ArgumentParser:
         b.add_argument("--max-exp", type=int, required=True)
         b.add_argument("--workers", type=int, required=True)
         b.add_argument("--repeats", type=int, required=True)
-        b.add_argument("--partitions", type=int, default=None)
         if kind == "build":
-            b.add_argument("--cutoff-depth", type=int, default=0)
+            b.add_argument("--cutoff-depth", dest="cutoff", type=int, default=0)
         b.add_argument("--out", required=True)
     b = bench_sub.add_parser("scaling")
     b.add_argument("--exp", type=int, required=True)
     b.add_argument("--max-workers", type=int, required=True)
     b.add_argument("--repeats", type=int, required=True)
-    b.add_argument("--partitions", type=int, default=None)
-    b.add_argument("--cutoff-depth", type=int, default=FULL_DEPTH)
+    b.add_argument("--cutoff-depth", dest="cutoff", type=int, default=FULL_DEPTH)
     b.add_argument("--phase", choices=("build", "search"), default="build")
     b.add_argument("--out", required=True)
 
@@ -100,13 +93,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_build(args) -> int:
     boxes = io.read_boxes_csv(args.infile)
-    cutoff: Optional[int] = 0
-    if args.auto_cutoff:
-        cutoff = None
-    elif args.cutoff_depth is not None:
-        cutoff = args.cutoff_depth
-    with Engine(EngineConfig(args.workers, args.partitions)) as engine:
-        tree_ds = build_distributed_tree(boxes, engine, cutoff)
+    with Engine(EngineConfig(args.workers)) as engine:
+        tree_ds = build_distributed_tree(boxes, engine, args.cutoff)
         entries = tree_ds.collect()
     io.write_tree_jsonl(args.out, entries)
     print(f"wrote {len(entries)} tree nodes to {args.out}")
@@ -118,7 +106,7 @@ def _cmd_search(args) -> int:
         raise ValueError("--verify requires --squares")
     entries = io.read_tree_jsonl(args.tree)
     queries = io.read_boxes_csv(args.queries)
-    with Engine(EngineConfig(args.workers, args.partitions)) as engine:
+    with Engine(EngineConfig(args.workers)) as engine:
         tree_ds = engine.from_items(entries)
         search_ds = engine.from_items([(b.name, b) for b in queries])
         grouped = run_search(search_ds, tree_ds).collect()
@@ -134,17 +122,15 @@ def _cmd_search(args) -> int:
 def _cmd_bench(args) -> int:
     if args.kind == "build":
         records, fit = run_build_bench(
-            args.min_exp, args.max_exp, args.workers, args.repeats,
-            args.partitions, args.cutoff_depth,
+            args.min_exp, args.max_exp, args.workers, args.repeats, args.cutoff
         )
     elif args.kind == "search":
         records, fit = run_search_bench(
-            args.min_exp, args.max_exp, args.workers, args.repeats, args.partitions
+            args.min_exp, args.max_exp, args.workers, args.repeats
         )
     else:
         records, fit = run_scaling_bench(
-            args.exp, args.max_workers, args.repeats,
-            args.partitions, args.cutoff_depth, args.phase,
+            args.exp, args.max_workers, args.repeats, args.cutoff, args.phase
         )
     io.write_bench_csv(args.out, records)
     print(f"wrote {len(records)} records to {args.out}")

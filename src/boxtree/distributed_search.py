@@ -57,8 +57,9 @@ def search_iteration(
 
     Joining the queries to the tree yields the visit dataset. Each visit
     emits an intersection pair (query name, node name) when the boxes
-    intersect and the names differ, and emits a next-pass query keyed by a
-    child's name for each child whose region the query box intersects.
+    intersect and the node's box is not the query box itself, and emits a
+    next-pass query keyed by a child's name for each child whose region the
+    query box intersects.
     """
     visit = query_ds.join(tree_ds)
     return visit.flat_map(_emit_intersections), visit.flat_map(_emit_next_queries)
@@ -66,7 +67,7 @@ def search_iteration(
 
 def _emit_intersections(element):
     node_name, ((query_name, query_box), value) = element
-    if query_name != node_name and boxes_intersect(query_box, value.box):
+    if boxes_intersect(query_box, value.box) and query_box != value.box:
         return ((query_name, node_name),)
     return ()
 

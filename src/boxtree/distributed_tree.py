@@ -3,20 +3,16 @@
 The upper tree is built by subdividing four presorted datasets (x_min,
 y_min, x_max and y_max super-key order). Keeping all four orders lets a
 node's bounding region be read off the first/last elements of the child
-datasets, so nothing has to be returned as the recursion unwinds and
-subtree builds can be handed to asynchronous tasks. Below a cutoff depth
-the current datasets are collected to arrays and the subtree is built by
-the memory-resident algorithm, which is several orders of magnitude
-faster per element.
+datasets, so nothing has to be returned as the recursion unwinds. At a
+cutoff depth the current datasets are collected to arrays, and the
+subtrees below are built by the memory-resident algorithm, which is
+several orders of magnitude faster per element, as one ``flat_map`` over
+a dataset of subtree jobs on the engine's workers.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
 from operator import itemgetter
-from time import perf_counter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import Engine, PairDataset, PartitionedDataset
@@ -30,16 +26,13 @@ from .geometry import (
     ensure_unique_names,
     superkey,
 )
-from .memory_tree import KdNode, build_memory_tree, presort
+from .memory_tree import KdNode, build_memory_tree
 
 __all__ = [
     "TreeNodeValue",
     "TreeGraphEntry",
-    "CutoffParams",
     "four_way_presort",
     "region_from_sorted",
-    "cutoff_depth",
-    "measure_cutoff_params",
     "build_distributed_tree",
     "flatten_memory_subtree",
 ]
@@ -66,41 +59,9 @@ class TreeNodeValue(NamedTuple):
 # One element of the tree dataset: (node name, node value).
 TreeGraphEntry = Tuple[int, TreeNodeValue]
 
-
-@dataclass(frozen=True)
-class CutoffParams:
-    """Measured constants for the dataset-vs-array build trade-off.
-
-    c_r and c_a are seconds per (n log2 n) element-steps for the dataset
-    path and the array path respectively; w is the worker count and n the
-    box count of the build being planned.
-    """
-
-    c_r: float
-    c_a: float
-    workers: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.c_r <= 0 or self.c_a <= 0:
-            raise ValueError("c_r and c_a must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.n < 0:
-            raise ValueError("n must be non-negative")
-
-
-def cutoff_depth(params: CutoffParams) -> int:
-    """Smallest depth at which the array path beats the dataset path.
-
-    Solves d > log2(n) - c_r / (c_a * w) - 1 for the smallest non-negative
-    integer d. A huge c_r / c_a ratio drives the cutoff to 0 (collect at
-    the root); a ratio near 0 pushes it to the full tree depth.
-    """
-    if params.n < 1:
-        raise ValueError("cutoff_depth needs n >= 1")
-    bound = math.log2(params.n) - params.c_r / (params.c_a * params.workers) - 1.0
-    return max(0, math.floor(bound) + 1)
+# A branch collected at the cutoff: (x_min-sorted boxes, y_min-sorted
+# boxes, depth of the branch root).
+_SubtreeJob = Tuple[List[Box], List[Box], int]
 
 
 def four_way_presort(
@@ -135,37 +96,6 @@ def region_from_sorted(
     )
 
 
-def measure_cutoff_params(
-    engine: Engine, boxes: Sequence[Box], presorted: Optional[Tuple] = None
-) -> CutoffParams:
-    """Micro-benchmark c_r and c_a on this machine for these boxes.
-
-    c_r comes from timing one root-level dataset subdivision (splitAt plus
-    the three filters); c_a from timing an in-memory build of a small
-    sample. Both are normalised to seconds per element-step.
-    """
-    n = len(boxes)
-    if n < 2:
-        raise ValueError("need at least 2 boxes to measure build constants")
-    ds4 = presorted if presorted is not None else four_way_presort(engine, boxes)
-
-    t0 = perf_counter()
-    _subdivide(ds4, n, AXIS_XMIN)
-    t_root = perf_counter() - t0
-    # one node at depth 0 subdivides n elements across w workers
-    c_r = max(t_root * engine.config.workers / n, 1e-12)
-
-    sample = list(boxes[: min(n, 1024)])
-    x_sorted, y_sorted = presort(sample)
-    t0 = perf_counter()
-    build_memory_tree(x_sorted, y_sorted)
-    t_mem = perf_counter() - t0
-    m = len(sample)
-    c_a = max(t_mem / (m * math.log2(m)), 1e-12)
-
-    return CutoffParams(c_r=c_r, c_a=c_a, workers=engine.config.workers, n=n)
-
-
 def _subdivide(ds4: Tuple, n: int, axis: int):
     """Split the axis dataset at its median and filter the other three."""
     m = n // 2
@@ -185,42 +115,28 @@ def _subdivide(ds4: Tuple, n: int, axis: int):
 
 
 def build_distributed_tree(
-    boxes: Sequence[Box], engine: Engine, cutoff: Optional[int] = 0
+    boxes: Sequence[Box], engine: Engine, cutoff: int = 0
 ) -> PairDataset:
     """Build the tree as a pair dataset of (name, TreeNodeValue) entries.
 
     Depths above ``cutoff`` are built by subdividing the four sorted
     datasets; at the cutoff the x_min/y_min datasets are collected to
-    arrays and the subtree is built in memory on an asynchronous task
-    while the coordinator keeps subdividing the remaining datasets. The
-    entry set is identical for every cutoff and worker count, and matches
-    the flattened memory-resident tree. ``cutoff=None`` selects the depth
-    automatically from measured build constants.
+    arrays, and every such branch becomes one subtree job that the engine
+    builds in memory. The default of 0 collects at the root. The entry set
+    is identical for every cutoff and worker count, and matches the
+    flattened memory-resident tree.
     """
+    if cutoff < 0:
+        raise ValueError(f"cutoff depth must be >= 0, got {cutoff}")
     boxes = list(boxes)
     if not boxes:
         return engine.from_items([])
-    ensure_unique_names(boxes)
     ds4 = four_way_presort(engine, boxes)
-    if cutoff is None:
-        if len(boxes) < 2:
-            cutoff = 0
-        else:
-            cutoff = cutoff_depth(measure_cutoff_params(engine, boxes, ds4))
-    if cutoff < 0:
-        raise ValueError(f"cutoff depth must be >= 0, got {cutoff}")
-
     entries: List[TreeGraphEntry] = []
-    tasks: List[Future] = []
-    with ThreadPoolExecutor(
-        max_workers=engine.config.workers, thread_name_prefix="subtree"
-    ) as subtree_pool:
-        _build(ds4, len(boxes), 0, cutoff, entries, tasks, subtree_pool)
-        # final barrier: task buffers are appended in submission order
-        buffers = [t.result() for t in tasks]
-    for buf in buffers:
-        entries.extend(buf)
-    return engine.from_items(entries)
+    jobs: List[_SubtreeJob] = []
+    _build(ds4, len(boxes), 0, cutoff, entries, jobs)
+    subtrees = engine.from_items(jobs).flat_map(_memory_subtree_entries)
+    return engine.from_items(entries + subtrees.collect())
 
 
 def _build(
@@ -229,16 +145,13 @@ def _build(
     depth: int,
     cutoff: int,
     entries: List[TreeGraphEntry],
-    tasks: List[Future],
-    subtree_pool: ThreadPoolExecutor,
+    jobs: List[_SubtreeJob],
 ) -> None:
     if n == 0:
         return
     if depth >= cutoff:
         # small enough: hand the rest of this branch to the array path
-        x_items = ds4[AXIS_XMIN].collect()
-        y_items = ds4[AXIS_YMIN].collect()
-        tasks.append(subtree_pool.submit(_memory_subtree_entries, x_items, y_items, depth))
+        jobs.append((ds4[AXIS_XMIN].collect(), ds4[AXIS_YMIN].collect(), depth))
         return
 
     axis = depth & 1
@@ -260,15 +173,12 @@ def _build(
         (median.name, TreeNodeValue(median, lt_name, lt_region, gt_name, gt_region))
     )
 
-    _build(less4, n_less, depth + 1, cutoff, entries, tasks, subtree_pool)
-    _build(greater4, n_greater, depth + 1, cutoff, entries, tasks, subtree_pool)
+    _build(less4, n_less, depth + 1, cutoff, entries, jobs)
+    _build(greater4, n_greater, depth + 1, cutoff, entries, jobs)
 
 
-def _memory_subtree_entries(
-    x_items: List[Box], y_items: List[Box], depth: int
-) -> List[TreeGraphEntry]:
-    root = build_memory_tree(x_items, y_items, depth)
-    return flatten_memory_subtree(root) if root is not None else []
+def _memory_subtree_entries(job: _SubtreeJob) -> List[TreeGraphEntry]:
+    return flatten_memory_subtree(build_memory_tree(*job))
 
 
 def flatten_memory_subtree(root: KdNode) -> List[TreeGraphEntry]:

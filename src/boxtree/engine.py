@@ -27,21 +27,13 @@ __all__ = ["EngineConfig", "Engine", "PartitionedDataset", "PairDataset"]
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Worker-pool size and default partition count for new datasets."""
+    """Worker-pool size; new datasets get one partition per worker by default."""
 
     workers: int = 1
-    partitions_per_dataset: Optional[int] = None  # None: same as workers
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        p = self.partitions_per_dataset
-        if p is not None and p < 1:
-            raise ValueError(f"partitions_per_dataset must be >= 1, got {p}")
-
-    @property
-    def partitions(self) -> int:
-        return self.partitions_per_dataset or self.workers
 
 
 class Engine:
@@ -61,8 +53,11 @@ class Engine:
     def from_items(
         self, items: Iterable[Any], num_partitions: Optional[int] = None
     ) -> "PartitionedDataset":
-        """Split ``items`` into contiguous partitions of near-equal size."""
-        p = self.config.partitions if num_partitions is None else num_partitions
+        """Split ``items`` into contiguous partitions of near-equal size.
+
+        One partition per worker unless ``num_partitions`` is given.
+        """
+        p = self.config.workers if num_partitions is None else num_partitions
         if p < 1:
             raise ValueError(f"num_partitions must be >= 1, got {p}")
         seq = list(items)
@@ -255,9 +250,6 @@ class PartitionedDataset:
     def collect(self) -> List[Any]:
         """All elements in dataset order (partition order, then in-partition)."""
         return [e for part in self.partitions for e in part]
-
-    def count(self) -> int:
-        return sum(self.engine.per_partition(self.partitions, len))
 
     def is_empty(self) -> bool:
         return all(len(p) == 0 for p in self.partitions)

@@ -21,7 +21,6 @@ __all__ = [
     "SuperKey",
     "DuplicateNameError",
     "superkey",
-    "compare_superkey",
     "boxes_intersect",
     "intersects_region",
     "merge_region",
@@ -78,15 +77,6 @@ def superkey(box: Box, axis: int) -> SuperKey:
     return SuperKey(box[axis + 1], box[0])
 
 
-def compare_superkey(a: SuperKey, b: SuperKey) -> int:
-    """-1 if a orders before b, +1 if after, 0 only for the identical key."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
 def boxes_intersect(a: Box, b: Box) -> bool:
     """Closed-interval overlap on both axes; touching edges intersect."""
     return (
@@ -128,11 +118,12 @@ def merge_region(box: Box, children: Sequence[Region] = ()) -> Region:
 
 def validate_box(box: Box) -> None:
     """Raise ValueError unless ``box`` satisfies the Box invariants."""
-    coords = (box.x_min, box.y_min, box.x_max, box.y_max)
-    if not all(math.isfinite(c) for c in coords):
-        raise ValueError(f"box {box.name} has a non-finite coordinate: {coords}")
-    if box.x_min > box.x_max or box.y_min > box.y_max:
-        raise ValueError(f"box {box.name} has inverted extents: {coords}")
+    name, x_min, y_min, x_max, y_max = box
+    isfinite = math.isfinite
+    if not (isfinite(x_min) and isfinite(y_min) and isfinite(x_max) and isfinite(y_max)):
+        raise ValueError(f"box {name} has a non-finite coordinate: {tuple(box[1:])}")
+    if x_min > x_max or y_min > y_max:
+        raise ValueError(f"box {name} has inverted extents: {tuple(box[1:])}")
 
 
 def ensure_unique_names(boxes: Iterable[Box]) -> None:

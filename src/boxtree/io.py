@@ -19,6 +19,7 @@ __all__ = [
     "read_boxes_csv",
     "write_tree_jsonl",
     "read_tree_jsonl",
+    "validate_tree",
     "write_results_csv",
     "read_results_csv",
     "write_bench_csv",
@@ -85,7 +86,7 @@ def write_tree_jsonl(path: str, entries: Iterable[TreeGraphEntry]) -> None:
 def _child_fields(obj) -> Tuple:
     if obj is None:
         return None, None
-    return obj["name"], Region(*obj["region"])
+    return obj["name"], Region(*map(float, obj["region"]))
 
 
 def read_tree_jsonl(path: str) -> List[TreeGraphEntry]:
@@ -97,7 +98,7 @@ def read_tree_jsonl(path: str) -> List[TreeGraphEntry]:
                 continue
             try:
                 obj = json.loads(line)
-                box = Box(obj["name"], *obj["box"])
+                box = Box(obj["name"], *map(float, obj["box"]))
                 lt_name, lt_region = _child_fields(obj["lt"])
                 gt_name, gt_region = _child_fields(obj["gt"])
             except (KeyError, TypeError, ValueError) as exc:
@@ -105,7 +106,82 @@ def read_tree_jsonl(path: str) -> List[TreeGraphEntry]:
             entries.append(
                 (obj["name"], TreeNodeValue(box, lt_name, lt_region, gt_name, gt_region))
             )
+    try:
+        validate_tree(entries)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return entries
+
+
+def validate_tree(entries: Sequence[TreeGraphEntry]) -> None:
+    """Raise ValueError unless ``entries`` form one tree a search can walk.
+
+    Every box is valid and every name unique; every child name has an
+    entry; exactly one entry is no entry's child; the walk down from it
+    reaches every entry exactly once; and every child region encloses the
+    boxes of its subtree. No entries at all is the empty tree.
+    """
+    by_name: Dict[int, TreeNodeValue] = {}
+    children = set()
+    for name, value in entries:
+        validate_box(value.box)
+        if name in by_name:
+            raise ValueError(f"duplicate tree node {name}")
+        by_name[name] = value
+        if value.lt_name is not None:
+            children.add(value.lt_name)
+        if value.gt_name is not None:
+            children.add(value.gt_name)
+    missing = children - by_name.keys()
+    if missing:
+        raise ValueError(f"child node {min(missing)} has no entry")
+    if not by_name:
+        return
+    roots = by_name.keys() - children
+    if len(roots) != 1:
+        raise ValueError(f"tree has {len(roots)} roots, expected 1")
+
+    order: List[int] = []  # pre-order, so children come after their parent
+    seen = set()
+    stack = list(roots)
+    while stack:
+        name = stack.pop()
+        if name in seen:
+            raise ValueError(f"node {name} is reached twice from the root")
+        seen.add(name)
+        order.append(name)
+        value = by_name[name]
+        if value.lt_name is not None:
+            stack.append(value.lt_name)
+        if value.gt_name is not None:
+            stack.append(value.gt_name)
+    if len(order) != len(by_name):
+        raise ValueError(f"{len(by_name) - len(order)} nodes are unreachable from the root")
+
+    # tightest region around each subtree, children before parents. The
+    # pass allocates one tuple per node: each allocation counts towards a
+    # collection that walks the whole loaded tree.
+    tight: Dict[int, Tuple[float, float, float, float]] = {}
+    for name in reversed(order):
+        value = by_name[name]
+        _, x0, y0, x1, y1 = value.box
+        for i in (1, 3):  # lt_name, lt_region and gt_name, gt_region
+            child = value[i]
+            if child is None:
+                continue
+            region = value[i + 1]
+            c0, d0, c1, d1 = tight[child]
+            if not (region[0] <= c0 and region[1] <= d0 and c1 <= region[2] and d1 <= region[3]):
+                raise ValueError(f"node {name}: region of child {child} misses its subtree")
+            if c0 < x0:
+                x0 = c0
+            if d0 < y0:
+                y0 = d0
+            if c1 > x1:
+                x1 = c1
+            if d1 > y1:
+                y1 = d1
+        tight[name] = (x0, y0, x1, y1)
 
 
 def write_results_csv(path: str, grouped: Iterable[Tuple[int, Sequence[int]]]) -> None:

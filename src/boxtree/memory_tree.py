@@ -9,7 +9,6 @@ the way down and gives an O(n log n) build without median finding.
 
 from __future__ import annotations
 
-import threading
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import (
@@ -82,14 +81,11 @@ def build_memory_tree(
     x_sorted: Sequence[Box],
     y_sorted: Sequence[Box],
     depth: int = 0,
-    parallel_depth: int = 0,
 ) -> Optional[KdNode]:
     """Build the balanced tree from the two presorted arrays.
 
     The split axis cycles x_min, y_min with depth (x_min at even depths).
-    The median of a length-n array is index n // 2. With
-    ``parallel_depth`` > 0 the two child builds are dispatched to parallel
-    threads above that depth; the result is identical either way.
+    The median of a length-n array is index n // 2.
 
     Returns None for empty input.
     """
@@ -114,20 +110,8 @@ def build_memory_tree(
         less_args = (other_less, split_less)
         greater_args = (other_greater, split_greater)
 
-    if depth < parallel_depth and len(split_arr) > 2:
-        slot: List[Optional[KdNode]] = [None]
-
-        def _build_less() -> None:
-            slot[0] = build_memory_tree(*less_args, depth + 1, parallel_depth)
-
-        worker = threading.Thread(target=_build_less)
-        worker.start()
-        greater = build_memory_tree(*greater_args, depth + 1, parallel_depth)
-        worker.join()
-        less = slot[0]
-    else:
-        less = build_memory_tree(*less_args, depth + 1, parallel_depth)
-        greater = build_memory_tree(*greater_args, depth + 1, parallel_depth)
+    less = build_memory_tree(*less_args, depth + 1)
+    greater = build_memory_tree(*greater_args, depth + 1)
 
     # Bounding regions are computed as the recursion unwinds.
     children = [c.region for c in (less, greater) if c is not None]
@@ -135,7 +119,7 @@ def build_memory_tree(
 
 
 def search_memory_tree(root: Optional[KdNode], query: Box) -> List[int]:
-    """Names of all tree boxes intersecting ``query``, except itself.
+    """Names of all tree boxes intersecting ``query``, except a box equal to it.
 
     A subtree is descended only when the query intersects its bounding
     region. Output is sorted ascending by name.
@@ -149,7 +133,7 @@ def search_memory_tree(root: Optional[KdNode], query: Box) -> List[int]:
 
 def _search(node: KdNode, query: Box, found: List[int]) -> None:
     box = node.box
-    if box.name != query.name and boxes_intersect(query, box):
+    if boxes_intersect(query, box) and box != query:
         found.append(box.name)
     less, greater = node.less, node.greater
     if less is not None and intersects_region(query, less.region):

@@ -1,3 +1,4 @@
+import json
 import random
 
 from boxtree.geometry import Box
@@ -14,3 +15,32 @@ def random_boxes(n, seed, lo=0.0, hi=1000.0, max_side=50.0):
             Box(name, x0, y0, x0 + rng.uniform(0, max_side), y0 + rng.uniform(0, max_side))
         )
     return out
+
+
+def _node(name, box, lt=None, gt=None):
+    """One tree-file line; ``lt``/``gt`` are (child name, child region)."""
+
+    def child(link):
+        return None if link is None else {"name": link[0], "region": list(link[1])}
+
+    return json.dumps({"name": name, "box": list(box), "lt": child(lt), "gt": child(gt)})
+
+
+UNIT = (0.0, 0.0, 1.0, 1.0)
+
+# Tree files that a search must refuse, one per defect.
+BAD_TREES = {
+    "inverted-box": [_node(0, (5.0, 5.0, 1.0, 1.0))],
+    "non-numeric-coordinate": [_node(0, ("a", 0.0, 1.0, 1.0))],
+    "duplicate-name": [_node(0, UNIT, lt=(1, UNIT)), _node(1, UNIT), _node(1, UNIT)],
+    "dangling-child": [_node(0, UNIT, lt=(99, UNIT))],
+    "no-root": [_node(0, UNIT, lt=(1, UNIT)), _node(1, UNIT, lt=(2, UNIT)),
+                _node(2, UNIT, lt=(0, UNIT))],
+    "two-roots": [_node(0, UNIT), _node(1, UNIT)],
+    "cycle-below-root": [_node(0, UNIT, lt=(1, UNIT)), _node(1, UNIT, lt=(2, UNIT)),
+                         _node(2, UNIT, lt=(1, UNIT))],
+    "cycle-apart-from-root": [_node(0, UNIT), _node(1, UNIT, lt=(2, UNIT)),
+                              _node(2, UNIT, lt=(1, UNIT))],
+    "child-reached-twice": [_node(0, UNIT, lt=(1, UNIT), gt=(1, UNIT)), _node(1, UNIT)],
+    "region-misses-subtree": [_node(0, UNIT, lt=(1, UNIT)), _node(1, (5.0, 5.0, 6.0, 6.0))],
+}

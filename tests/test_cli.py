@@ -2,6 +2,9 @@ import pytest
 
 from boxtree import io
 from boxtree.cli import main
+from boxtree.geometry import Box
+
+from conftest import BAD_TREES
 
 
 def run(argv):
@@ -43,14 +46,6 @@ class TestBuildSearchPipeline:
         assert "verification: ok" in capsys.readouterr().out
         assert len(io.read_results_csv(results)) == 36
 
-    def test_auto_cutoff_and_explicit_cutoff_agree(self, tmp_path, boxes_csv):
-        t1, t2 = tmp_path / "t1.jsonl", tmp_path / "t2.jsonl"
-        assert run(["build", "--in", boxes_csv, "--workers", 1,
-                    "--cutoff-depth", 2, "--out", t1]) == 0
-        assert run(["build", "--in", boxes_csv, "--workers", 1,
-                    "--auto-cutoff", "--out", t2]) == 0
-        assert t1.read_bytes() == t2.read_bytes()
-
     def test_verification_failure_exits_1(self, tmp_path, boxes_csv, capsys):
         tree = tmp_path / "tree.jsonl"
         results = tmp_path / "results.csv"
@@ -69,6 +64,17 @@ class TestBuildSearchPipeline:
             "search", "--tree", tree, "--queries", boxes_csv,
             "--workers", 1, "--out", tmp_path / "r.csv", "--verify",
         ])
+        assert code == 2
+
+    @pytest.mark.parametrize("case", sorted(BAD_TREES))
+    def test_malformed_tree_exits_2(self, tmp_path, case):
+        tree, queries = tmp_path / "tree.jsonl", tmp_path / "queries.csv"
+        tree.write_text("\n".join(BAD_TREES[case]) + "\n")
+        # a query that overlaps every region of the bad trees, so the search
+        # would descend into each defect
+        io.write_boxes_csv(queries, [Box(50, 0.0, 0.0, 1.0, 1.0)])
+        code = run(["search", "--tree", tree, "--queries", queries,
+                    "--workers", 1, "--out", tmp_path / "r.csv"])
         assert code == 2
 
     def test_missing_input_exits_2(self, tmp_path):

@@ -21,7 +21,7 @@ from conftest import random_boxes
 
 @pytest.fixture(scope="module")
 def engine():
-    with Engine(EngineConfig(workers=2, partitions_per_dataset=3)) as eng:
+    with Engine(EngineConfig(workers=3)) as eng:
         yield eng
 
 
@@ -116,6 +116,14 @@ class TestRunSearch:
         b = Box(0, 0.0, 0.0, 1.0, 1.0)
         tree_ds = build_distributed_tree([b], engine, 0)
         assert run_search(search_dataset(engine, [b]), tree_ds).collect() == []
+
+    def test_query_named_like_another_tree_box_keeps_its_match(self, engine):
+        # only the query's own box is skipped, not every box of its name
+        tree = [Box(0, 0.0, 0.0, 10.0, 10.0), Box(1, 50.0, 50.0, 60.0, 60.0)]
+        queries = [Box(0, 5.0, 5.0, 6.0, 6.0), Box(7, 5.0, 5.0, 6.0, 6.0)]
+        tree_ds = build_distributed_tree(tree, engine, 0)
+        result = run_search(search_dataset(engine, queries), tree_ds)
+        assert result.collect() == [(0, (0,)), (7, (0,))]
 
     def test_identical_pair_report_each_other(self, engine):
         boxes = [Box(0, 0.0, 0.0, 1.0, 1.0), Box(1, 0.0, 0.0, 1.0, 1.0)]

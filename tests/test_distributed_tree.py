@@ -1,3 +1,5 @@
+import inspect
+import math
 from functools import reduce
 
 import pytest
@@ -16,12 +18,9 @@ from boxtree.geometry import (
 )
 from boxtree.memory_tree import build_memory_tree, presort
 from boxtree.distributed_tree import (
-    CutoffParams,
     build_distributed_tree,
-    cutoff_depth,
     flatten_memory_subtree,
     four_way_presort,
-    measure_cutoff_params,
     region_from_sorted,
 )
 
@@ -30,7 +29,7 @@ from conftest import random_boxes
 
 @pytest.fixture(scope="module")
 def engine():
-    with Engine(EngineConfig(workers=2, partitions_per_dataset=3)) as eng:
+    with Engine(EngineConfig(workers=3)) as eng:
         yield eng
 
 
@@ -84,35 +83,13 @@ class TestRegionFromSorted:
 
 class TestCutoffDepth:
     def test_paper_measured_constants_force_collect_at_root(self):
-        # ratio c_r / c_a of 200 s to 122 ms starves the bound below zero
-        params = CutoffParams(c_r=200.0, c_a=0.122, workers=4, n=2**12)
-        assert cutoff_depth(params) == 0
-
-    def test_moderate_ratio(self):
-        params = CutoffParams(c_r=8.0, c_a=1.0, workers=1, n=2**12)
-        assert cutoff_depth(params) == 4  # bound is 12 - 8 - 1 = 3
-
-    def test_vanishing_ratio_gives_full_depth(self):
-        # limiting case: a ratio below double resolution leaves the bound at
-        # log2(n) - 1 exactly, so the cutoff reaches the full tree depth
-        for exp in (4, 8, 12):
-            params = CutoffParams(c_r=1e-18, c_a=1.0, workers=1, n=2**exp)
-            assert cutoff_depth(params) == exp
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            CutoffParams(c_r=0.0, c_a=1.0, workers=1, n=4)
-        with pytest.raises(ValueError):
-            CutoffParams(c_r=1.0, c_a=1.0, workers=0, n=4)
-        with pytest.raises(ValueError):
-            cutoff_depth(CutoffParams(c_r=1.0, c_a=1.0, workers=1, n=0))
-
-    def test_measured_params_are_positive(self, engine):
-        boxes = random_boxes(64, seed=1)
-        params = measure_cutoff_params(engine, boxes)
-        assert params.c_r > 0 and params.c_a > 0
-        assert params.n == 64 and params.workers == engine.config.workers
-        assert cutoff_depth(params) >= 0
+        # the paper's bound d > log2(n) - c_r / (c_a * w) - 1 with its measured
+        # c_r = 200 s and c_a = 122 ms on 4 workers stays below zero for any
+        # n up to 2^40, so the default cutoff collects at the root
+        for n in (2**12, 2**40):
+            assert math.log2(n) - 200.0 / (0.122 * 4) - 1.0 < 0
+        default = inspect.signature(build_distributed_tree).parameters["cutoff"].default
+        assert default == 0
 
 
 class TestBuild:
@@ -149,11 +126,6 @@ class TestBuild:
         boxes = random_boxes(2**10, seed=77)
         expect = memory_entries(boxes)
         assert set(build_distributed_tree(boxes, engine, 3).collect()) == expect
-
-    def test_auto_cutoff_builds_correct_tree(self, engine):
-        boxes = random_boxes(128, seed=6)
-        got = set(build_distributed_tree(boxes, engine, cutoff=None).collect())
-        assert got == memory_entries(boxes)
 
     def test_negative_cutoff_rejected(self, engine):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from boxtree.memory_tree import presort, sweep_and_partition
 
 @pytest.fixture(scope="module")
 def engine():
-    with Engine(EngineConfig(workers=2, partitions_per_dataset=3)) as eng:
+    with Engine(EngineConfig(workers=3)) as eng:
         yield eng
 
 
@@ -26,13 +26,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             EngineConfig(workers=0)
 
-    def test_rejects_bad_partitions(self):
-        with pytest.raises(ValueError):
-            EngineConfig(workers=1, partitions_per_dataset=0)
-
     def test_partitions_default_to_workers(self):
-        assert EngineConfig(workers=4).partitions == 4
-        assert EngineConfig(workers=4, partitions_per_dataset=7).partitions == 7
+        with Engine(EngineConfig(workers=4)) as engine:
+            assert engine.from_items(range(10)).num_partitions == 4
+            assert engine.from_items(range(10), 7).num_partitions == 7
 
 
 class TestFromItems:
@@ -227,11 +224,10 @@ class TestGroupByKey:
 
 
 class TestActions:
-    def test_count_and_is_empty(self, engine):
-        assert engine.from_items([]).count() == 0
+    def test_is_empty(self, engine):
         assert engine.from_items([]).is_empty()
-        ds = engine.from_items([1, 2, 3], 2)
-        assert ds.count() == 3 and not ds.is_empty()
+        assert not engine.from_items([1, 2, 3], 2).is_empty()
+        assert not engine.from_items([5], 4).is_empty()  # some partitions empty
 
     def test_first_last(self, engine):
         ds = engine.from_items([5, 6, 7], 5)  # some partitions empty

@@ -6,7 +6,7 @@ from boxtree.engine import Engine, EngineConfig
 from boxtree.distributed_tree import build_distributed_tree
 from boxtree.testdata import SquareGridSpec, generate_test_data
 
-from conftest import random_boxes
+from conftest import BAD_TREES, random_boxes
 
 
 class TestBoxCsv:
@@ -93,3 +93,18 @@ class TestBenchCsv:
         path = tmp_path / "bench.csv"
         io.write_bench_csv(path, records)
         assert io.read_bench_csv(path) == records
+
+
+class TestValidateTree:
+    @pytest.mark.parametrize("case", sorted(BAD_TREES))
+    def test_rejected_on_load(self, tmp_path, case):
+        path = tmp_path / "tree.jsonl"
+        path.write_text("\n".join(BAD_TREES[case]) + "\n")
+        with pytest.raises(ValueError):
+            io.read_tree_jsonl(path)
+
+    def test_built_trees_and_the_empty_tree_pass(self):
+        with Engine(EngineConfig(workers=2)) as engine:
+            for n, cutoff in ((1, 0), (2, 0), (33, 2), (100, 64)):
+                io.validate_tree(build_distributed_tree(random_boxes(n, seed=n), engine, cutoff).collect())
+        io.validate_tree([])

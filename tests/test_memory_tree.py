@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from boxtree.engine import Engine, EngineConfig
 from boxtree.geometry import AXIS_XMIN, Box, DuplicateNameError, superkey
 from boxtree.memory_tree import (
     build_memory_tree,
@@ -16,9 +17,9 @@ from boxtree.testdata import brute_force_intersections
 from conftest import random_boxes
 
 
-def build(boxes, **kwargs):
+def build(boxes):
     x_sorted, y_sorted = presort(boxes)
-    return build_memory_tree(x_sorted, y_sorted, **kwargs)
+    return build_memory_tree(x_sorted, y_sorted)
 
 
 def all_nodes(root):
@@ -136,14 +137,21 @@ class TestBuild:
         boxes = random_boxes(300, seed=11)
         t1 = build(boxes)
         t2 = build(boxes)
-        t3 = build(boxes, parallel_depth=3)
-        assert t1 == t2 == t3
+        # the distributed build runs subtree builds on the engine's threads
+        with Engine(EngineConfig(workers=4)) as engine:
+            jobs = engine.from_items([presort(boxes)] * 4)
+            parallel = jobs.map(lambda xy: build_memory_tree(*xy)).collect()
+        assert all(t == t1 for t in (t2, *parallel))
 
 
 class TestSearch:
     def test_query_never_reports_itself(self):
         b = Box(0, 0.0, 0.0, 1.0, 1.0)
         assert search_memory_tree(build([b]), b) == []
+
+    def test_query_named_like_another_tree_box_keeps_its_match(self):
+        root = build([Box(0, 0.0, 0.0, 10.0, 10.0), Box(1, 50.0, 50.0, 60.0, 60.0)])
+        assert search_memory_tree(root, Box(0, 5.0, 5.0, 6.0, 6.0)) == [0]
 
     def test_two_disjoint_boxes(self):
         a = Box(0, 0.0, 0.0, 1.0, 1.0)

@@ -83,6 +83,14 @@ class TestVerify:
         tampered[name] = partners[:-1]
         assert not verify_search_results(tampered, 1)
 
+    def test_match_moved_to_another_square_fails(self):
+        boxes = generate_test_data(SquareGridSpec(2))
+        oracle = brute_force_intersections(boxes)
+        assert verify_search_results(oracle, 2)
+        tampered = dict(oracle)
+        tampered[0] = [p + 16 for p in oracle[0]]  # same layout, square 1
+        assert not verify_search_results(tampered, 2)
+
     def test_wrong_count_fails(self):
         boxes = generate_test_data(SquareGridSpec(1))
         oracle = brute_force_intersections(boxes)
