@@ -1,11 +1,13 @@
 """Iterative breadth-first intersection search of the distributed tree.
 
-Every query starts at the root. Each pass joins the live queries to the
-tree dataset by node name, tests the visited node's box against each
-query, and re-keys the surviving queries by the child names whose
-bounding regions the query intersects. The search terminates when no
-queries remain, after at most tree-depth passes, and the accumulated
-(query, node) intersection pairs are grouped per query.
+Every query starts at the root. Each pass is one join of the live queries
+to the tree dataset by node name; the visitor run on each match tests the
+visited node's box against the query and re-keys the query by the child
+names whose bounding regions it intersects. The tree is hashed on the
+first pass only (the engine keeps the index on the tree dataset), and no
+visit tuples are materialized. The search terminates when no queries
+remain, after at most tree-depth passes, and the accumulated (query, node)
+intersection pairs are grouped per query.
 """
 
 from __future__ import annotations
@@ -55,32 +57,37 @@ def search_iteration(
 ) -> Tuple[PairDataset, PairDataset]:
     """One breadth-first pass: visit, test, descend.
 
-    Joining the queries to the tree yields the visit dataset. Each visit
-    emits an intersection pair (query name, node name) when the boxes
-    intersect and the node's box is not the query box itself, and emits a
-    next-pass query keyed by a child's name for each child whose region the
-    query box intersects.
+    Joins the queries to the tree with ``_visit`` run on each match, then
+    splits the join's output into the intersection pairs (query name, node
+    name) and the next-pass queries (child name, (query name, query box)),
+    each in visit order.
     """
-    visit = query_ds.join(tree_ds)
-    return visit.flat_map(_emit_intersections), visit.flat_map(_emit_next_queries)
+    found = query_ds.join(tree_ds, _visit)
+    return found.filter(_is_pair), found.filter(_is_next_query)
 
 
-def _emit_intersections(element):
-    node_name, ((query_name, query_box), value) = element
-    if boxes_intersect(query_box, value.box) and query_box != value.box:
-        return ((query_name, node_name),)
-    return ()
-
-
-def _emit_next_queries(element):
-    _, (query, value) = element
-    query_box = query[1]
+def _visit(node_name, query, value):
+    """A pair when the boxes intersect and the node's box is not the query
+    box itself; a next-pass query per child whose region the query meets."""
+    query_name, query_box = query
     out = []
+    if boxes_intersect(query_box, value.box) and query_box != value.box:
+        out.append((query_name, node_name))
     if value.lt_name is not None and intersects_region(query_box, value.lt_region):
         out.append((value.lt_name, query))
     if value.gt_name is not None and intersects_region(query_box, value.gt_region):
         out.append((value.gt_name, query))
     return out
+
+
+# A pair's value is a node name (an int); a next-pass query's is the
+# (name, box) query tuple.
+def _is_pair(element) -> bool:
+    return not isinstance(element[1], tuple)
+
+
+def _is_next_query(element) -> bool:
+    return isinstance(element[1], tuple)
 
 
 def run_search(search_ds: PairDataset, tree_ds: PairDataset) -> PairDataset:
@@ -89,16 +96,19 @@ def run_search(search_ds: PairDataset, tree_ds: PairDataset) -> PairDataset:
     Returns a pair dataset of (query name, ascending tuple of intersecting
     node names), keys ascending, queries without matches omitted.
     Emptiness of the next-pass queries is tested before joining, so the
-    final pass does no work.
+    final pass does no work. A valid tree needs at most one pass per
+    entry; queries still live after that many passes mean the tree has a
+    cycle, and raise ValueError.
     """
-    engine = search_ds.engine
-    root = tree_root_name(tree_ds)
-    if root is None and not search_ds.is_empty():
-        raise ValueError("cannot search an empty tree")
-    queries = init_queries(search_ds, root)
-    cumulative = engine.from_items([])
+    queries = init_queries(search_ds, tree_root_name(tree_ds))
+    max_passes = sum(len(part) for part in tree_ds.partitions)
+    cumulative = search_ds.engine.from_items([])
+    passes = 0
     while not queries.is_empty():
+        if passes == max_passes:
+            raise ValueError(f"search still live after {passes} passes: the tree has a cycle")
         intersections, queries = search_iteration(queries, tree_ds)
         cumulative = cumulative.union(intersections)
+        passes += 1
     grouped = cumulative.group_by_key()
     return grouped.map(lambda kv: (kv[0], tuple(sorted(set(kv[1])))))

@@ -11,6 +11,12 @@ identical for any worker count.
 Elements of a *pair* dataset are (key, value) 2-tuples; the keyed
 operators (sort_by_key, join, group_by_key, flat_map_values) assume that
 shape. Operators evaluate eagerly: there is no lazy DAG.
+
+Because a dataset never changes, ``join`` hashes its right side once and
+keeps that key index on the right dataset, so an iterative job that joins
+against the same dataset on every pass (the tree search) pays the hash
+only on the first pass. Every derived dataset is a new object and starts
+without an index.
 """
 
 from __future__ import annotations
@@ -100,12 +106,13 @@ class Engine:
 class PartitionedDataset:
     """Immutable ordered collection of elements split into partitions."""
 
-    __slots__ = ("engine", "partitions")
+    __slots__ = ("engine", "partitions", "_index")
 
     def __init__(self, engine: Engine, partitions: Iterable[Iterable[Any]]):
         self.engine = engine
         # tuple(t) on a tuple is a no-op, so internal calls avoid re-copies
         self.partitions = tuple(tuple(p) for p in partitions)
+        self._index: Optional[dict] = None  # key -> [values], built by join
 
     # ------------------------------------------------------------------
     # element-wise operators (partition structure preserved)
@@ -155,23 +162,52 @@ class PartitionedDataset:
         merged = heapq.merge(*sorted_parts, key=key)
         return self.engine.from_items(merged, self.num_partitions)
 
-    def join(self, other: "PartitionedDataset") -> "PartitionedDataset":
+    def join(
+        self,
+        other: "PartitionedDataset",
+        fn: Optional[Callable[[Any, Any, Any], Iterable[Any]]] = None,
+    ) -> "PartitionedDataset":
         """Inner join on keys: (k, v1) x (k, v2) -> (k, (v1, v2)).
 
-        The right side is hashed once; the left side is streamed in order,
-        so output order is left-dataset order (with right-side multiplicity
-        expanded in right order). Keys missing on either side are dropped.
+        The right side is hashed on its first use as a right side and the
+        index is kept on it, so later joins against the same dataset skip
+        the hash. The left side is streamed in order, so output order is
+        left-dataset order (with right-side multiplicity expanded in right
+        order). Keys missing on either side are dropped.
+
+        With ``fn``, each match (k, v1, v2) is handed to ``fn(k, v1, v2)``
+        instead, and its outputs are emitted in match order, in the same
+        per-partition pass: no (k, (v1, v2)) tuple is built.
         """
-        index: dict = {}
-        for k, v in other.collect():
-            index.setdefault(k, []).append(v)
-        parts = self.engine.per_partition(
-            self.partitions,
-            lambda part, idx=index: tuple(
-                (k, (v, w)) for k, v in part for w in idx.get(k, ())
-            ),
-        )
-        return PartitionedDataset(self.engine, parts)
+        get = other._key_index().get
+        if fn is None:
+
+            def work(part):
+                return tuple((k, (v, w)) for k, v in part for w in get(k, ()))
+
+        else:
+
+            def work(part):
+                out: list = []
+                emit = out.extend
+                for k, v in part:
+                    for w in get(k, ()):
+                        emit(fn(k, v, w))
+                return out
+
+        return PartitionedDataset(self.engine, self.engine.per_partition(self.partitions, work))
+
+    def _key_index(self) -> dict:
+        """key -> [values] in dataset order; built once, then reused.
+
+        Two threads racing here both build the same index; either one is kept.
+        """
+        if self._index is None:
+            index: dict = {}
+            for k, v in self.collect():
+                index.setdefault(k, []).append(v)
+            self._index = index
+        return self._index
 
     def union(self, other: "PartitionedDataset") -> "PartitionedDataset":
         """Concatenation: this dataset's partitions, then the other's."""

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from boxtree.engine import Engine, EngineConfig
+import boxtree
+from boxtree import distributed_search
+from boxtree.engine import Engine, EngineConfig, PartitionedDataset
 from boxtree.geometry import Box, boxes_intersect, intersects_region
 from boxtree.memory_tree import build_memory_tree, presort, tree_depth
 from boxtree.distributed_tree import build_distributed_tree
@@ -111,6 +119,45 @@ class TestSearchIteration:
         assert sorted(got) == sorted(expected)
 
 
+def reference_pass(query_ds, tree_ds):
+    """Reference pass: materialize every visit with a plain join, then walk
+    the visits once for pairs and once for next-pass queries."""
+    visit = query_ds.join(tree_ds)
+
+    def intersections(element):
+        node_name, ((query_name, query_box), value) = element
+        if boxes_intersect(query_box, value.box) and query_box != value.box:
+            return ((query_name, node_name),)
+        return ()
+
+    def next_queries(element):
+        _, (query, value) = element
+        out = []
+        if value.lt_name is not None and intersects_region(query[1], value.lt_region):
+            out.append((value.lt_name, query))
+        if value.gt_name is not None and intersects_region(query[1], value.gt_region):
+            out.append((value.gt_name, query))
+        return out
+
+    return visit.flat_map(intersections), visit.flat_map(next_queries)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_search_iteration_equals_join_then_two_flat_maps(workers):
+    boxes = random_boxes(300, seed=23, max_side=120.0)
+    with Engine(EngineConfig(workers=workers)) as eng:
+        tree_ds = build_distributed_tree(boxes, eng, 2)
+        queries = init_queries(search_dataset(eng, boxes), tree_root_name(tree_ds))
+        passes = 0
+        while not queries.is_empty():
+            expected_pairs, expected_next = reference_pass(queries, tree_ds)
+            pairs, queries = search_iteration(queries, tree_ds)
+            assert pairs.partitions == expected_pairs.partitions
+            assert queries.partitions == expected_next.partitions
+            passes += 1
+        assert passes > 2
+
+
 class TestRunSearch:
     def test_single_box_only_matches_itself(self, engine):
         b = Box(0, 0.0, 0.0, 1.0, 1.0)
@@ -197,3 +244,66 @@ class TestIterationBehaviour:
         for intersections, _ in self.drive(engine, boxes):
             seen.extend(intersections.collect())
         assert len(seen) == len(set(seen))
+
+    def test_tree_collected_a_fixed_number_of_times(self, engine, monkeypatch):
+        # the tree is hashed once per search, not once per pass
+        collects = Counter()
+        original_collect = PartitionedDataset.collect
+
+        def counting_collect(ds):
+            collects[id(ds)] += 1
+            return original_collect(ds)
+
+        passes = []
+        original_iteration = distributed_search.search_iteration
+
+        def counting_iteration(queries, tree_ds):
+            passes[-1] += 1
+            return original_iteration(queries, tree_ds)
+
+        monkeypatch.setattr(PartitionedDataset, "collect", counting_collect)
+        monkeypatch.setattr(distributed_search, "search_iteration", counting_iteration)
+        tree_collects = []
+        for n in (3, 500):
+            boxes = random_boxes(n, seed=n)
+            tree_ds = build_distributed_tree(boxes, engine, 0)
+            collects.clear()
+            passes.append(0)
+            run_search(search_dataset(engine, boxes), tree_ds)
+            tree_collects.append(collects[id(tree_ds)])
+        assert passes[0] < passes[1]
+        assert tree_collects[0] == tree_collects[1] <= 2
+
+
+# A tree built in-process, so never validated as a file: 0 -> 1 -> 2 -> 1.
+CYCLIC_TREE_SEARCH = """
+from boxtree.distributed_search import run_search
+from boxtree.distributed_tree import TreeNodeValue
+from boxtree.engine import Engine
+from boxtree.geometry import Box, Region
+
+unit = Region(0.0, 0.0, 1.0, 1.0)
+with Engine() as engine:
+    tree_ds = engine.from_items([
+        (name, TreeNodeValue(Box(name, *unit), child, unit, None, None))
+        for name, child in ((0, 1), (1, 2), (2, 1))
+    ])
+    try:
+        run_search(engine.from_items([(9, Box(9, 0.5, 0.5, 2.0, 2.0))]), tree_ds)
+    except ValueError as exc:
+        print("refused:", exc)
+"""
+
+
+def test_cyclic_in_process_tree_is_refused_not_searched_forever():
+    # in a subprocess, so a search that never ends fails the test instead of hanging it
+    src = str(Path(boxtree.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", CYCLIC_TREE_SEARCH],
+            capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src},
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("run_search was still running after 30 s on a cyclic tree")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused:"), proc.stdout

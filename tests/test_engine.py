@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from boxtree.engine import Engine, EngineConfig
+from boxtree.engine import Engine, EngineConfig, PartitionedDataset
 from boxtree.geometry import AXIS_XMIN, Box, superkey
 from boxtree.memory_tree import presort, sweep_and_partition
 
@@ -195,6 +196,52 @@ class TestJoin:
         brute = [(k, (v, w)) for k, v in left for kk, w in right if kk == k]
         assert len(joined) == len(brute)
         assert sorted(joined) == sorted(brute)
+
+
+# small key ranges make duplicate keys on both sides common
+_pairs = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 99)), max_size=30)
+
+
+def _per_match(k, v, w):
+    """0-2 outputs per match, of two shapes, so order and multiplicity show."""
+    return [(k, v + w)] * ((v + w) % 3) + ([("odd", k)] if w % 2 else [])
+
+
+class TestFusedJoin:
+    @settings(max_examples=60, deadline=None)
+    @given(left=_pairs, right=_pairs,
+           left_parts=st.integers(1, 8), right_parts=st.integers(1, 8))
+    @example(left=[], right=[(1, 2)], left_parts=3, right_parts=1)
+    @example(left=[(1, 2)], right=[], left_parts=1, right_parts=8)
+    def test_equals_join_then_flat_map(self, engines_by_workers, left, right,
+                                       left_parts, right_parts):
+        for w in (1, 2, 4):
+            eng = engines_by_workers[w]
+            a = eng.from_items(left, left_parts)
+            b = eng.from_items(right, right_parts)
+            fused = a.join(b, _per_match)
+            reference = a.join(b).flat_map(lambda kvw: _per_match(kvw[0], *kvw[1]))
+            assert fused.partitions == reference.partitions
+
+    def test_same_right_side_twice_gives_identical_output(self, engine):
+        right = engine.from_items([(k % 4, k) for k in range(20)], 3)
+        left = engine.from_items([(k % 5, -k) for k in range(12)], 2)
+        first = left.join(right).collect()
+        assert left.join(right).collect() == first
+        assert left.join(right, _per_match).collect() == left.join(right, _per_match).collect()
+
+    def test_derived_datasets_do_not_reuse_a_stale_index(self, engine):
+        right = engine.from_items([(1, 10), (2, 20)])
+        left = engine.from_items([(1, "a"), (2, "b"), (3, "c")])
+        assert left.join(right).collect() == [(1, ("a", 10)), (2, ("b", 20))]
+        grown = right.union(engine.from_items([(3, 30), (1, 11)]))
+        assert left.join(grown).collect() == [
+            (1, ("a", 10)), (1, ("a", 11)), (2, ("b", 20)), (3, ("c", 30))]
+        shrunk = right.filter(lambda kv: kv[0] == 2)
+        assert left.join(shrunk).collect() == [(2, ("b", 20))]
+        same_parts = PartitionedDataset(engine, grown.partitions)
+        assert left.join(same_parts).collect() == left.join(grown).collect()
+        assert left.join(right).collect() == [(1, ("a", 10)), (2, ("b", 20))]
 
 
 class TestUnion:
