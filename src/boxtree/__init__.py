@@ -3,8 +3,7 @@
 The tree is built by presorting super keys and subdividing while
 preserving the sort orders, either over plain arrays or over partitioned
 datasets processed by a miniature MapReduce-style engine, and searched
-for box intersections either recursively (in memory) or by iterative
-breadth-first key joins (distributed).
+for box intersections by iterative breadth-first key joins.
 """
 
 from .geometry import (
@@ -17,7 +16,6 @@ from .geometry import (
     Region,
     SuperKey,
     boxes_intersect,
-    intersects_region,
     merge_region,
     superkey,
 )
@@ -25,7 +23,6 @@ from .memory_tree import (
     KdNode,
     build_memory_tree,
     presort,
-    search_memory_tree,
     sweep_and_partition,
     tree_depth,
 )

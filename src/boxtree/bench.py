@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .distributed_search import run_search
 from .distributed_tree import build_distributed_tree
@@ -22,6 +22,7 @@ from .testdata import BOXES_PER_SQUARE, SquareGridSpec, generate_test_data
 __all__ = [
     "FULL_DEPTH",
     "BenchRecord",
+    "fastest_per_point",
     "run_build_bench",
     "run_search_bench",
     "run_scaling_bench",
@@ -46,15 +47,59 @@ def _bench_boxes(n: int):
     return generate_test_data(SquareGridSpec(n // BOXES_PER_SQUARE))
 
 
-def _warm(engine: Engine) -> None:
+def _timer(phase: str, engine: Engine, boxes, cutoff: int) -> Callable[[], float]:
+    """Warm ``engine`` and return a function that runs one build (at
+    ``cutoff``) or one search of ``boxes`` and returns its seconds.
+
+    A search's tree and queries are made here, untimed, and each call
+    times a search against a fresh copy of the tree.
+    """
     # spin up the pool threads outside the timed region
     engine.from_items(range(engine.config.workers * 2)).map(lambda x: x).collect()
+    if phase == "build":
+
+        def once() -> float:
+            t0 = perf_counter()
+            build_distributed_tree(boxes, engine, cutoff)
+            return perf_counter() - t0
+
+        return once
+    tree_ds = build_distributed_tree(boxes, engine, 0)
+    search_ds = engine.from_items([(b.name, b) for b in boxes])
+
+    def once() -> float:
+        # the same entries without the key index an earlier search cached
+        # on them, so each timed search pays the tree hash as a CLI search does
+        fresh_tree = PartitionedDataset(engine, tree_ds.partitions)
+        t0 = perf_counter()
+        run_search(search_ds, fresh_tree)
+        return perf_counter() - t0
+
+    return once
 
 
-def _fresh(tree_ds: PartitionedDataset) -> PartitionedDataset:
-    # the same entries without the key index an earlier search cached on
-    # them, so each timed search pays the tree hash as a CLI search does
-    return PartitionedDataset(tree_ds.engine, tree_ds.partitions)
+def fastest_per_point(records: List[BenchRecord], field: str) -> List[Tuple[int, float]]:
+    """(value of ``field``, fastest seconds) per distinct value, ascending."""
+    best: Dict[int, float] = {}
+    for rec in records:
+        x = getattr(rec, field)
+        best[x] = min(best.get(x, float("inf")), rec.seconds)
+    return sorted(best.items())
+
+
+def _n_sweep(
+    phase: str, min_exp: int, max_exp: int, workers: int, repeats: int, cutoff: int = 0
+) -> Tuple[List[BenchRecord], FitResult]:
+    """Time one phase for n = 2^min_exp .. 2^max_exp; fit n log n."""
+    if min_exp > max_exp:
+        raise ValueError("empty exponent range")
+    records: List[BenchRecord] = []
+    for exp in range(min_exp, max_exp + 1):
+        n = 2**exp
+        with Engine(EngineConfig(workers)) as engine:
+            once = _timer(phase, engine, _bench_boxes(n), cutoff)
+            records.extend(BenchRecord(phase, n, workers, rep, once()) for rep in range(repeats))
+    return records, fit_linear_nlogn(fastest_per_point(records, "n"))
 
 
 def run_build_bench(
@@ -69,24 +114,7 @@ def run_build_bench(
     The default cutoff of 0 collects at the root, which times the
     memory-dominant hybrid path; pass FULL_DEPTH for the pure dataset path.
     """
-    if min_exp > max_exp:
-        raise ValueError("empty exponent range")
-    records: List[BenchRecord] = []
-    mins: List[Tuple[int, float]] = []
-    for exp in range(min_exp, max_exp + 1):
-        n = 2**exp
-        boxes = _bench_boxes(n)
-        with Engine(EngineConfig(workers)) as engine:
-            _warm(engine)
-            best = float("inf")
-            for rep in range(repeats):
-                t0 = perf_counter()
-                build_distributed_tree(boxes, engine, cutoff)
-                dt = perf_counter() - t0
-                records.append(BenchRecord("build", n, workers, rep, dt))
-                best = min(best, dt)
-        mins.append((n, best))
-    return records, fit_linear_nlogn(mins)
+    return _n_sweep("build", min_exp, max_exp, workers, repeats, cutoff)
 
 
 def run_search_bench(
@@ -96,27 +124,7 @@ def run_search_bench(
     repeats: int,
 ) -> Tuple[List[BenchRecord], FitResult]:
     """Time searching every box against the tree of all boxes; fit n log n."""
-    if min_exp > max_exp:
-        raise ValueError("empty exponent range")
-    records: List[BenchRecord] = []
-    mins: List[Tuple[int, float]] = []
-    for exp in range(min_exp, max_exp + 1):
-        n = 2**exp
-        boxes = _bench_boxes(n)
-        with Engine(EngineConfig(workers)) as engine:
-            _warm(engine)
-            tree_ds = build_distributed_tree(boxes, engine, 0)
-            search_ds = engine.from_items([(b.name, b) for b in boxes])
-            best = float("inf")
-            for rep in range(repeats):
-                fresh_tree = _fresh(tree_ds)
-                t0 = perf_counter()
-                run_search(search_ds, fresh_tree)
-                dt = perf_counter() - t0
-                records.append(BenchRecord("search", n, workers, rep, dt))
-                best = min(best, dt)
-        mins.append((n, best))
-    return records, fit_linear_nlogn(mins)
+    return _n_sweep("search", min_exp, max_exp, workers, repeats)
 
 
 def run_scaling_bench(
@@ -140,34 +148,18 @@ def run_scaling_bench(
     worker_counts = range(1, max_workers + 1)
     engines = {w: Engine(EngineConfig(w)) for w in worker_counts}
     records: List[BenchRecord] = []
-    best = {w: float("inf") for w in worker_counts}
     try:
-        inputs = {}
-        for w, engine in engines.items():
-            _warm(engine)
-            if phase == "search":
-                tree_ds = build_distributed_tree(boxes, engine, 0)
-                search_ds = engine.from_items([(b.name, b) for b in boxes])
-                inputs[w] = (search_ds, tree_ds)
-            else:
-                # one untimed run per engine: caches and pool fully hot
-                build_distributed_tree(boxes, engine, cutoff)
+        timers = {w: _timer(phase, engine, boxes, cutoff) for w, engine in engines.items()}
+        if phase == "build":
+            # one untimed run per engine: caches and pool fully hot
+            for once in timers.values():
+                once()
         # round-robin over worker counts so slow machine-load drift spreads
         # evenly across the sweep instead of biasing one end of it
         for rep in range(repeats):
             for w in worker_counts:
-                if phase == "build":
-                    t0 = perf_counter()
-                    build_distributed_tree(boxes, engines[w], cutoff)
-                else:
-                    search_ds, tree_ds = inputs[w]
-                    fresh_tree = _fresh(tree_ds)
-                    t0 = perf_counter()
-                    run_search(search_ds, fresh_tree)
-                dt = perf_counter() - t0
-                records.append(BenchRecord(phase, n, w, rep, dt))
-                best[w] = min(best[w], dt)
+                records.append(BenchRecord(phase, n, w, rep, timers[w]()))
     finally:
         for engine in engines.values():
             engine.shutdown()
-    return records, fit_scaling_model(sorted(best.items()))
+    return records, fit_scaling_model(fastest_per_point(records, "workers"))

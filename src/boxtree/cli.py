@@ -11,7 +11,13 @@ import sys
 from typing import List, Optional
 
 from . import io
-from .bench import FULL_DEPTH, run_build_bench, run_scaling_bench, run_search_bench
+from .bench import (
+    FULL_DEPTH,
+    fastest_per_point,
+    run_build_bench,
+    run_scaling_bench,
+    run_search_bench,
+)
 from .distributed_search import run_search
 from .distributed_tree import build_distributed_tree
 from .engine import Engine, EngineConfig
@@ -142,12 +148,10 @@ def _cmd_fit(args) -> int:
     records = io.read_bench_csv(args.infile)
     if not records:
         raise ValueError(f"{args.infile}: no benchmark records")
-    mins: dict = {}
-    for rec in records:
-        x = rec.n if args.model == "nlogn" else rec.workers
-        mins[x] = min(mins.get(x, float("inf")), rec.seconds)
-    points = sorted(mins.items())
-    fit = fit_linear_nlogn(points) if args.model == "nlogn" else fit_scaling_model(points)
+    if args.model == "nlogn":
+        fit = fit_linear_nlogn(fastest_per_point(records, "n"))
+    else:
+        fit = fit_scaling_model(fastest_per_point(records, "workers"))
     _print_fit(fit)
     return 0
 

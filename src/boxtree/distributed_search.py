@@ -1,5 +1,11 @@
 """Iterative breadth-first intersection search of the distributed tree.
 
+The search first finds the root with ``tree_root_name``, which is also
+the one place that checks the tree: a tree that is not one walkable tree
+(bad box, duplicate or missing node, several roots, a cycle, a region
+that misses its subtree) raises ValueError before any query runs,
+whether it was read from a file or built in-process.
+
 Every query starts at the root. Each pass is one join of the live queries
 to the tree dataset by node name; the visitor run on each match tests the
 visited node's box against the query and re-keys the query by the child
@@ -12,10 +18,11 @@ intersection pairs are grouped per query.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from .distributed_tree import TreeNodeValue
 from .engine import PairDataset
-from .geometry import boxes_intersect, intersects_region
+from .geometry import boxes_intersect, validate_box
 
 __all__ = [
     "tree_root_name",
@@ -26,21 +33,77 @@ __all__ = [
 
 
 def tree_root_name(tree_ds: PairDataset) -> Optional[int]:
-    """Name of the unique entry no other entry references; None if empty."""
-    keys = set()
-    referenced = set()
+    """Name of the tree's root; None if ``tree_ds`` is empty.
+
+    Raises ValueError unless the entries form one tree a search can walk:
+    every box is valid and every name unique; every child name has an
+    entry; exactly one entry is no entry's child; the walk down from it
+    reaches every entry exactly once; and every child region encloses the
+    boxes of its subtree.
+    """
+    by_name: Dict[int, TreeNodeValue] = {}
+    children = set()
     for name, value in tree_ds.collect():
-        keys.add(name)
+        validate_box(value.box)
+        if name in by_name:
+            raise ValueError(f"duplicate tree node {name}")
+        by_name[name] = value
         if value.lt_name is not None:
-            referenced.add(value.lt_name)
+            children.add(value.lt_name)
         if value.gt_name is not None:
-            referenced.add(value.gt_name)
-    if not keys:
+            children.add(value.gt_name)
+    missing = children - by_name.keys()
+    if missing:
+        raise ValueError(f"child node {min(missing)} has no entry")
+    if not by_name:
         return None
-    roots = keys - referenced
+    roots = by_name.keys() - children
     if len(roots) != 1:
-        raise ValueError(f"tree dataset has {len(roots)} roots, expected 1")
-    return roots.pop()
+        raise ValueError(f"tree has {len(roots)} roots, expected 1")
+    (root,) = roots
+
+    order: List[int] = []  # pre-order, so children come after their parent
+    seen = set()
+    stack = [root]
+    while stack:
+        name = stack.pop()
+        if name in seen:
+            raise ValueError(f"node {name} is reached twice from the root")
+        seen.add(name)
+        order.append(name)
+        value = by_name[name]
+        if value.lt_name is not None:
+            stack.append(value.lt_name)
+        if value.gt_name is not None:
+            stack.append(value.gt_name)
+    if len(order) != len(by_name):
+        raise ValueError(f"{len(by_name) - len(order)} nodes are unreachable from the root")
+
+    # tightest region around each subtree, children before parents. The
+    # pass allocates one tuple per node: each allocation counts towards a
+    # collection that walks the whole tree.
+    tight: Dict[int, Tuple[float, float, float, float]] = {}
+    for name in reversed(order):
+        value = by_name[name]
+        _, x0, y0, x1, y1 = value.box
+        for i in (1, 3):  # lt_name, lt_region and gt_name, gt_region
+            child = value[i]
+            if child is None:
+                continue
+            region = value[i + 1]
+            c0, d0, c1, d1 = tight[child]
+            if not (region[0] <= c0 and region[1] <= d0 and c1 <= region[2] and d1 <= region[3]):
+                raise ValueError(f"node {name}: region of child {child} misses its subtree")
+            if c0 < x0:
+                x0 = c0
+            if d0 < y0:
+                y0 = d0
+            if c1 > x1:
+                x1 = c1
+            if d1 > y1:
+                y1 = d1
+        tight[name] = (x0, y0, x1, y1)
+    return root
 
 
 def init_queries(search_ds: PairDataset, root_name: Optional[int]) -> PairDataset:
@@ -73,9 +136,9 @@ def _visit(node_name, query, value):
     out = []
     if boxes_intersect(query_box, value.box) and query_box != value.box:
         out.append((query_name, node_name))
-    if value.lt_name is not None and intersects_region(query_box, value.lt_region):
+    if value.lt_name is not None and boxes_intersect(query_box, value.lt_region):
         out.append((value.lt_name, query))
-    if value.gt_name is not None and intersects_region(query_box, value.gt_region):
+    if value.gt_name is not None and boxes_intersect(query_box, value.gt_region):
         out.append((value.gt_name, query))
     return out
 
@@ -96,19 +159,14 @@ def run_search(search_ds: PairDataset, tree_ds: PairDataset) -> PairDataset:
     Returns a pair dataset of (query name, ascending tuple of intersecting
     node names), keys ascending, queries without matches omitted.
     Emptiness of the next-pass queries is tested before joining, so the
-    final pass does no work. A valid tree needs at most one pass per
-    entry; queries still live after that many passes mean the tree has a
-    cycle, and raise ValueError.
+    final pass does no work. ``tree_root_name`` checks the tree first and
+    raises ValueError for one a search cannot walk, so the loop ends
+    after at most one pass per tree level.
     """
     queries = init_queries(search_ds, tree_root_name(tree_ds))
-    max_passes = sum(len(part) for part in tree_ds.partitions)
     cumulative = search_ds.engine.from_items([])
-    passes = 0
     while not queries.is_empty():
-        if passes == max_passes:
-            raise ValueError(f"search still live after {passes} passes: the tree has a cycle")
         intersections, queries = search_iteration(queries, tree_ds)
         cumulative = cumulative.union(intersections)
-        passes += 1
     grouped = cumulative.group_by_key()
     return grouped.map(lambda kv: (kv[0], tuple(sorted(set(kv[1])))))

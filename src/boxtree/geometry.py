@@ -22,7 +22,6 @@ __all__ = [
     "DuplicateNameError",
     "superkey",
     "boxes_intersect",
-    "intersects_region",
     "merge_region",
     "validate_box",
     "ensure_unique_names",
@@ -77,23 +76,16 @@ def superkey(box: Box, axis: int) -> SuperKey:
     return SuperKey(box[axis + 1], box[0])
 
 
-def boxes_intersect(a: Box, b: Box) -> bool:
-    """Closed-interval overlap on both axes; touching edges intersect."""
+def boxes_intersect(a: Box | Region, b: Box | Region) -> bool:
+    """Closed-interval overlap on both axes; touching edges intersect.
+
+    Either argument may be a Region, which has the same coordinate fields.
+    """
     return (
         a.x_min <= b.x_max
         and b.x_min <= a.x_max
         and a.y_min <= b.y_max
         and b.y_min <= a.y_max
-    )
-
-
-def intersects_region(box: Box, region: Region) -> bool:
-    """Same closed-interval predicate as boxes_intersect, against a region."""
-    return (
-        box.x_min <= region.x_max
-        and region.x_min <= box.x_max
-        and box.y_min <= region.y_max
-        and region.y_min <= box.y_max
     )
 
 

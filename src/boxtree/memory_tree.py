@@ -16,9 +16,7 @@ from .geometry import (
     Box,
     Region,
     SuperKey,
-    boxes_intersect,
     ensure_unique_names,
-    intersects_region,
     merge_region,
     superkey,
 )
@@ -28,7 +26,6 @@ __all__ = [
     "presort",
     "sweep_and_partition",
     "build_memory_tree",
-    "search_memory_tree",
     "tree_depth",
 ]
 
@@ -116,30 +113,6 @@ def build_memory_tree(
     # Bounding regions are computed as the recursion unwinds.
     children = [c.region for c in (less, greater) if c is not None]
     return KdNode(median, less, greater, merge_region(median, children))
-
-
-def search_memory_tree(root: Optional[KdNode], query: Box) -> List[int]:
-    """Names of all tree boxes intersecting ``query``, except a box equal to it.
-
-    A subtree is descended only when the query intersects its bounding
-    region. Output is sorted ascending by name.
-    """
-    found: List[int] = []
-    if root is not None:
-        _search(root, query, found)
-    found.sort()
-    return found
-
-
-def _search(node: KdNode, query: Box, found: List[int]) -> None:
-    box = node.box
-    if boxes_intersect(query, box) and box != query:
-        found.append(box.name)
-    less, greater = node.less, node.greater
-    if less is not None and intersects_region(query, less.region):
-        _search(less, query, found)
-    if greater is not None and intersects_region(query, greater.region):
-        _search(greater, query, found)
 
 
 def tree_depth(root: Optional[KdNode]) -> int:

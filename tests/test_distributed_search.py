@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -9,9 +10,9 @@ import pytest
 import boxtree
 from boxtree import distributed_search
 from boxtree.engine import Engine, EngineConfig, PartitionedDataset
-from boxtree.geometry import Box, boxes_intersect, intersects_region
+from boxtree.geometry import Box, Region, boxes_intersect
 from boxtree.memory_tree import build_memory_tree, presort, tree_depth
-from boxtree.distributed_tree import build_distributed_tree
+from boxtree.distributed_tree import TreeNodeValue, build_distributed_tree
 from boxtree.distributed_search import (
     init_queries,
     run_search,
@@ -24,7 +25,7 @@ from boxtree.testdata import (
     generate_test_data,
 )
 
-from conftest import random_boxes
+from conftest import BAD_TREES, random_boxes
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,36 @@ class TestRootName:
 
     def test_empty_tree(self, engine):
         assert tree_root_name(engine.from_items([])) is None
+
+    def test_built_trees_and_the_empty_tree_pass(self):
+        with Engine(EngineConfig(workers=2)) as engine:
+            for n, cutoff in ((1, 0), (2, 0), (33, 2), (100, 64)):
+                tree_ds = build_distributed_tree(random_boxes(n, seed=n), engine, cutoff)
+                assert tree_root_name(tree_ds) is not None
+            assert tree_root_name(engine.from_items([])) is None
+
+
+def tree_entries(lines):
+    """The (name, TreeNodeValue) entries of tree-file lines, built directly."""
+
+    def child(link):
+        return (None, None) if link is None else (link["name"], Region(*link["region"]))
+
+    entries = []
+    for obj in map(json.loads, lines):
+        box = Box(obj["name"], *obj["box"])
+        entries.append((obj["name"], TreeNodeValue(box, *child(obj["lt"]), *child(obj["gt"]))))
+    return entries
+
+
+# a non-numeric coordinate is a parse error, so only a tree file can have one
+@pytest.mark.parametrize("case", sorted(set(BAD_TREES) - {"non-numeric-coordinate"}))
+def test_in_process_bad_tree_is_refused(engine, case):
+    tree_ds = engine.from_items(tree_entries(BAD_TREES[case]))
+    # overlaps every region of the bad trees, so a search would descend into each defect
+    query = Box(50, 0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        run_search(search_dataset(engine, [query]), tree_ds)
 
 
 class TestInitQueries:
@@ -113,7 +144,7 @@ class TestSearchIteration:
                 (root_value.lt_name, root_value.lt_region),
                 (root_value.gt_name, root_value.gt_region),
             ):
-                if child is not None and intersects_region(b, region):
+                if child is not None and boxes_intersect(b, region):
                     expected.append((child, (b.name, b)))
         got = next_queries.collect()
         assert sorted(got) == sorted(expected)
@@ -133,9 +164,9 @@ def reference_pass(query_ds, tree_ds):
     def next_queries(element):
         _, (query, value) = element
         out = []
-        if value.lt_name is not None and intersects_region(query[1], value.lt_region):
+        if value.lt_name is not None and boxes_intersect(query[1], value.lt_region):
             out.append((value.lt_name, query))
-        if value.gt_name is not None and intersects_region(query[1], value.gt_region):
+        if value.gt_name is not None and boxes_intersect(query[1], value.gt_region):
             out.append((value.gt_name, query))
         return out
 
@@ -275,7 +306,7 @@ class TestIterationBehaviour:
         assert tree_collects[0] == tree_collects[1] <= 2
 
 
-# A tree built in-process, so never validated as a file: 0 -> 1 -> 2 -> 1.
+# A tree built in-process, not read from a file: 0 -> 1 -> 2 -> 1.
 CYCLIC_TREE_SEARCH = """
 from boxtree.distributed_search import run_search
 from boxtree.distributed_tree import TreeNodeValue

@@ -7,7 +7,6 @@ from boxtree.geometry import (
     SuperKey,
     boxes_intersect,
     ensure_unique_names,
-    intersects_region,
     merge_region,
     superkey,
     validate_box,
@@ -41,6 +40,10 @@ class TestBoxesIntersect:
             (box(0, 0, 0, 1, 1), box(1, 2, 2, 3, 3), False),
             # closed intervals: a shared edge counts as intersection
             (box(0, 0, 0, 1, 1), box(1, 1, 0, 2, 1), True),
+            # a box against a child region, as the search descends
+            (box(0, 0, 0, 1, 1), Region(0.0, 0.0, 10.0, 10.0), True),
+            (box(0, 5, 5, 6, 6), Region(0.0, 0.0, 1.0, 1.0), False),
+            (box(0, 0, 0, 1, 1), Region(0.0, 0.0, 1.0, 1.0), True),
         ],
     )
     def test_examples(self, a, b, expect):
@@ -53,19 +56,6 @@ class TestBoxesIntersect:
     @given(boxes())
     def test_reflexive(self, a):
         assert boxes_intersect(a, a)
-
-
-class TestIntersectsRegion:
-    @pytest.mark.parametrize(
-        "b,r,expect",
-        [
-            (box(0, 0, 0, 1, 1), Region(0.0, 0.0, 10.0, 10.0), True),
-            (box(0, 5, 5, 6, 6), Region(0.0, 0.0, 1.0, 1.0), False),
-            (box(0, 0, 0, 1, 1), Region(0.0, 0.0, 1.0, 1.0), True),
-        ],
-    )
-    def test_examples(self, b, r, expect):
-        assert intersects_region(b, r) is expect
 
 
 class TestMergeRegion:

@@ -8,11 +8,9 @@ from boxtree.geometry import AXIS_XMIN, Box, DuplicateNameError, superkey
 from boxtree.memory_tree import (
     build_memory_tree,
     presort,
-    search_memory_tree,
     sweep_and_partition,
     tree_depth,
 )
-from boxtree.testdata import brute_force_intersections
 
 from conftest import random_boxes
 
@@ -142,30 +140,6 @@ class TestBuild:
             jobs = engine.from_items([presort(boxes)] * 4)
             parallel = jobs.map(lambda xy: build_memory_tree(*xy)).collect()
         assert all(t == t1 for t in (t2, *parallel))
-
-
-class TestSearch:
-    def test_query_never_reports_itself(self):
-        b = Box(0, 0.0, 0.0, 1.0, 1.0)
-        assert search_memory_tree(build([b]), b) == []
-
-    def test_query_named_like_another_tree_box_keeps_its_match(self):
-        root = build([Box(0, 0.0, 0.0, 10.0, 10.0), Box(1, 50.0, 50.0, 60.0, 60.0)])
-        assert search_memory_tree(root, Box(0, 5.0, 5.0, 6.0, 6.0)) == [0]
-
-    def test_two_disjoint_boxes(self):
-        a = Box(0, 0.0, 0.0, 1.0, 1.0)
-        b = Box(1, 5.0, 5.0, 6.0, 6.0)
-        query = Box(99, 4.5, 4.5, 5.5, 5.5)
-        assert search_memory_tree(build([a, b]), query) == [1]
-
-    @pytest.mark.parametrize("n", [100, 1024])
-    def test_matches_brute_force_oracle(self, n):
-        boxes = random_boxes(n, seed=n, max_side=80.0)
-        root = build(boxes)
-        oracle = brute_force_intersections(boxes)
-        for b in boxes:
-            assert search_memory_tree(root, b) == oracle.get(b.name, [])
 
 
 class CountingFloat(float):

@@ -1,4 +1,4 @@
-"""Every search path equals a brute force over (query, tree box) pairs."""
+"""The search equals a brute force over (query, tree box) pairs on every build path."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +8,6 @@ from boxtree.distributed_search import run_search
 from boxtree.distributed_tree import build_distributed_tree
 from boxtree.engine import Engine, EngineConfig
 from boxtree.geometry import Box
-from boxtree.memory_tree import build_memory_tree, presort, search_memory_tree
 
 BIG = 1e15
 
@@ -81,11 +80,6 @@ def engines():
 def test_every_search_path_matches_brute_force(engines, case):
     tree, queries = case
     expected = brute_force(tree, queries)
-
-    root = build_memory_tree(*presort(tree))
-    got = {q.name: search_memory_tree(root, q) for q in queries}
-    assert {k: v for k, v in got.items() if v} == expected
-
     for engine in engines:
         search_ds = engine.from_items([(q.name, q) for q in queries])
         for cutoff in (0, 2, FULL_DEPTH):
