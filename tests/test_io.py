@@ -6,7 +6,7 @@ from boxtree.engine import Engine, EngineConfig
 from boxtree.distributed_tree import build_distributed_tree
 from boxtree.testdata import SquareGridSpec, generate_test_data
 
-from conftest import random_boxes
+from conftest import BAD_TREES, random_boxes
 
 
 class TestBoxCsv:
@@ -93,3 +93,14 @@ class TestBenchCsv:
         path = tmp_path / "bench.csv"
         io.write_bench_csv(path, records)
         assert io.read_bench_csv(path) == records
+
+
+class TestValidateTree:
+    # Loading checks only the syntax of each line; the tree-shape defects of
+    # BAD_TREES are refused where the search starts (test_distributed_search).
+    @pytest.mark.parametrize("case", ["non-numeric-coordinate"])
+    def test_rejected_on_load(self, tmp_path, case):
+        path = tmp_path / "tree.jsonl"
+        path.write_text("\n".join(BAD_TREES[case]) + "\n")
+        with pytest.raises(ValueError):
+            io.read_tree_jsonl(path)
