@@ -20,7 +20,8 @@ from .geometry import (
     superkey,
 )
 from .memory_tree import (
-    KdNode,
+    TreeGraphEntry,
+    TreeNodeValue,
     build_memory_tree,
     presort,
     sweep_and_partition,
@@ -28,8 +29,6 @@ from .memory_tree import (
 )
 from .engine import Engine, EngineConfig, PairDataset, PartitionedDataset
 from .distributed_tree import (
-    TreeGraphEntry,
-    TreeNodeValue,
     build_distributed_tree,
     flatten_memory_subtree,
     four_way_presort,

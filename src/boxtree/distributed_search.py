@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .distributed_tree import TreeNodeValue
+from .memory_tree import TreeNodeValue
 from .engine import PairDataset
 from .geometry import boxes_intersect, validate_box
 

@@ -7,13 +7,14 @@ datasets, so nothing has to be returned as the recursion unwinds. At a
 cutoff depth the current datasets are collected to arrays, and the
 subtrees below are built by the memory-resident algorithm, which is
 several orders of magnitude faster per element, as one ``flat_map`` over
-a dataset of subtree jobs on the engine's workers.
+a dataset of subtree jobs on the engine's workers. At cutoff 0 nothing is
+subdivided, so there is no four-way presort: the whole tree is one job.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .engine import Engine, PairDataset, PartitionedDataset
 from .geometry import (
@@ -26,11 +27,9 @@ from .geometry import (
     ensure_unique_names,
     superkey,
 )
-from .memory_tree import KdNode, build_memory_tree
+from .memory_tree import TreeGraphEntry, TreeNodeValue, build_memory_tree, presort
 
 __all__ = [
-    "TreeNodeValue",
-    "TreeGraphEntry",
     "four_way_presort",
     "region_from_sorted",
     "build_distributed_tree",
@@ -39,25 +38,6 @@ __all__ = [
 
 SORT_AXES = (AXIS_XMIN, AXIS_YMIN, AXIS_XMAX, AXIS_YMAX)
 
-
-class TreeNodeValue(NamedTuple):
-    """Value part of a tree entry: the node's box plus child links.
-
-    Child names refer to other entries' keys; a box's name doubles as its
-    node name since each box occupies exactly one node. Child regions are
-    the bounding regions of the linked subtrees; absent children are None
-    on both fields.
-    """
-
-    box: Box
-    lt_name: Optional[int]
-    lt_region: Optional[Region]
-    gt_name: Optional[int]
-    gt_region: Optional[Region]
-
-
-# One element of the tree dataset: (node name, node value).
-TreeGraphEntry = Tuple[int, TreeNodeValue]
 
 # A branch collected at the cutoff: (x_min-sorted boxes, y_min-sorted
 # boxes, depth of the branch root).
@@ -98,20 +78,17 @@ def region_from_sorted(
 
 def _subdivide(ds4: Tuple, n: int, axis: int):
     """Split the axis dataset at its median and filter the other three."""
-    m = n // 2
-    split_less, median, split_greater = ds4[axis].split_at(m)
-    pivot = superkey(median, axis)
-    coord = axis + 1
-    less4: List[Optional[PartitionedDataset]] = [None] * 4
-    greater4: List[Optional[PartitionedDataset]] = [None] * 4
-    less4[axis], greater4[axis] = split_less, split_greater
-    for other in SORT_AXES:
-        if other == axis:
-            continue
-        ds = ds4[other]
-        less4[other] = ds.filter(lambda b, p=pivot, c=coord: (b[c], b[0]) < p)
-        greater4[other] = ds.filter(lambda b, p=pivot, c=coord: (b[c], b[0]) > p)
-    return tuple(less4), median, tuple(greater4)
+    split_less, median, split_greater = ds4[axis].split_at(n // 2)
+    pivot, coord = superkey(median, axis), axis + 1
+    less4 = tuple(
+        split_less if a == axis else ds.filter(lambda b, p=pivot, c=coord: (b[c], b[0]) < p)
+        for a, ds in zip(SORT_AXES, ds4)
+    )
+    greater4 = tuple(
+        split_greater if a == axis else ds.filter(lambda b, p=pivot, c=coord: (b[c], b[0]) > p)
+        for a, ds in zip(SORT_AXES, ds4)
+    )
+    return less4, median, greater4
 
 
 def build_distributed_tree(
@@ -122,20 +99,24 @@ def build_distributed_tree(
     Depths above ``cutoff`` are built by subdividing the four sorted
     datasets; at the cutoff the x_min/y_min datasets are collected to
     arrays, and every such branch becomes one subtree job that the engine
-    builds in memory. The default of 0 collects at the root. The entry set
-    is identical for every cutoff and worker count, and matches the
-    flattened memory-resident tree.
+    builds in memory. The default of 0 subdivides nothing: the boxes are
+    presorted in memory, with no four-way presort, and built as one job.
+    The entry set is identical for every cutoff and worker count, and
+    equals ``build_memory_tree``'s.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff depth must be >= 0, got {cutoff}")
     boxes = list(boxes)
     if not boxes:
         return engine.from_items([])
-    ds4 = four_way_presort(engine, boxes)
     entries: List[TreeGraphEntry] = []
     jobs: List[_SubtreeJob] = []
-    _build(ds4, len(boxes), 0, cutoff, entries, jobs)
-    subtrees = engine.from_items(jobs).flat_map(_memory_subtree_entries)
+    if cutoff == 0:
+        # nothing is subdivided on the engine: sort only what the memory build reads
+        jobs.append((*presort(boxes), 0))
+    else:
+        _build(four_way_presort(engine, boxes), len(boxes), 0, cutoff, entries, jobs)
+    subtrees = engine.from_items(jobs).flat_map(lambda job: build_memory_tree(*job))
     return engine.from_items(entries + subtrees.collect())
 
 
@@ -177,32 +158,6 @@ def _build(
     _build(greater4, n_greater, depth + 1, cutoff, entries, jobs)
 
 
-def _memory_subtree_entries(job: _SubtreeJob) -> List[TreeGraphEntry]:
-    return flatten_memory_subtree(build_memory_tree(*job))
-
-
-def flatten_memory_subtree(root: KdNode) -> List[TreeGraphEntry]:
-    """One (name, TreeNodeValue) entry per node of a memory-resident tree."""
-    entries: List[TreeGraphEntry] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        less, greater = node.less, node.greater
-        entries.append(
-            (
-                node.box.name,
-                TreeNodeValue(
-                    node.box,
-                    less.box.name if less else None,
-                    less.region if less else None,
-                    greater.box.name if greater else None,
-                    greater.region if greater else None,
-                ),
-            )
-        )
-        # pre-order: push greater first so the less branch is emitted first
-        if greater is not None:
-            stack.append(greater)
-        if less is not None:
-            stack.append(less)
-    return entries
+def flatten_memory_subtree(entries: Sequence[TreeGraphEntry]) -> List[TreeGraphEntry]:
+    """A memory build's entries as a list: it already emits the tree's entries."""
+    return list(entries)

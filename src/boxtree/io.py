@@ -2,9 +2,10 @@
 
 Floats are written with repr-style shortest round-trip formatting, so a
 write/read cycle reproduces every value bit-exactly and generation is
-byte-deterministic. Readers check each line's syntax and, for box CSVs,
-each box; whether a tree file's entries form one searchable tree is
-checked by the search itself (``distributed_search.tree_root_name``).
+byte-deterministic. Readers check each line's syntax and names and, for
+box CSVs, each box and that no name repeats; whether a tree file's
+entries form one searchable tree is checked by the search itself
+(``distributed_search.tree_root_name``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .geometry import Box, Region, validate_box
-from .distributed_tree import TreeGraphEntry, TreeNodeValue
+from .memory_tree import TreeGraphEntry, TreeNodeValue
 
 __all__ = [
     "BOX_CSV_HEADER",
@@ -40,7 +41,9 @@ def write_boxes_csv(path: str, boxes: Sequence[Box]) -> None:
 
 
 def read_boxes_csv(path: str) -> List[Box]:
+    """Parse a box CSV; a bad line, a bad box or a repeated name is refused."""
     boxes = []
+    seen = set()
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != BOX_CSV_HEADER:
@@ -59,6 +62,9 @@ def read_boxes_csv(path: str) -> List[Box]:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if name < 0:
                 raise ValueError(f"{path}:{lineno}: names must be non-negative")
+            if name in seen:
+                raise ValueError(f"{path}:{lineno}: repeated box name {name}")
+            seen.add(name)
             box = Box(name, *coords)
             validate_box(box)
             boxes.append(box)
@@ -84,17 +90,25 @@ def write_tree_jsonl(path: str, entries: Iterable[TreeGraphEntry]) -> None:
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
+def _node_name(value) -> int:
+    # JSON true/false parse to bool, which is an int subclass: refused too
+    if type(value) is not int or value < 0:
+        raise ValueError(f"node name must be a non-negative integer, got {json.dumps(value)}")
+    return value
+
+
 def _child_fields(obj) -> Tuple:
     if obj is None:
         return None, None
-    return obj["name"], Region(*map(float, obj["region"]))
+    return _node_name(obj["name"]), Region(*map(float, obj["region"]))
 
 
 def read_tree_jsonl(path: str) -> List[TreeGraphEntry]:
     """Parse a tree file into (name, TreeNodeValue) entries, in file order.
 
-    Only the syntax of each line is checked here; whether the entries form
-    a tree a search can walk is checked where every search starts,
+    Only each line is checked here: its syntax, numeric coordinates and
+    non-negative integer node names. Whether the entries form a tree a
+    search can walk is checked where every search starts,
     ``distributed_search.tree_root_name``.
     """
     entries: List[TreeGraphEntry] = []
@@ -105,14 +119,13 @@ def read_tree_jsonl(path: str) -> List[TreeGraphEntry]:
                 continue
             try:
                 obj = json.loads(line)
-                box = Box(obj["name"], *map(float, obj["box"]))
+                name = _node_name(obj["name"])
+                box = Box(name, *map(float, obj["box"]))
                 lt_name, lt_region = _child_fields(obj["lt"])
                 gt_name, gt_region = _child_fields(obj["gt"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed tree entry: {exc}") from exc
-            entries.append(
-                (obj["name"], TreeNodeValue(box, lt_name, lt_region, gt_name, gt_region))
-            )
+            entries.append((name, TreeNodeValue(box, lt_name, lt_region, gt_name, gt_region)))
     return entries
 
 

@@ -1,10 +1,12 @@
-"""Memory-resident balanced k-d tree over boxes, built by presorting.
+"""Memory-resident balanced k-d tree build, by presorting.
 
 The tree is built from two arrays presorted by the x_min and y_min super
 keys. At each level the array sorted by the split axis is partitioned
 trivially at its median element, and the other array is swept once and
 partitioned around the same pivot, which preserves both sort orders all
 the way down and gives an O(n log n) build without median finding.
+The build emits the program's one tree representation: (name,
+TreeNodeValue) entries that name each node's children and their regions.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .geometry import (
 )
 
 __all__ = [
-    "KdNode",
+    "TreeNodeValue",
+    "TreeGraphEntry",
     "presort",
     "sweep_and_partition",
     "build_memory_tree",
@@ -30,13 +33,24 @@ __all__ = [
 ]
 
 
-class KdNode(NamedTuple):
-    """One tree node: its box, optional children, and bounding region."""
+class TreeNodeValue(NamedTuple):
+    """Value part of a tree entry: the node's box plus child links.
+
+    Child names refer to other entries' keys; a box's name doubles as its
+    node name since each box occupies exactly one node. Child regions are
+    the bounding regions of the linked subtrees; absent children are None
+    on both fields.
+    """
 
     box: Box
-    less: Optional["KdNode"]
-    greater: Optional["KdNode"]
-    region: Region
+    lt_name: Optional[int]
+    lt_region: Optional[Region]
+    gt_name: Optional[int]
+    gt_region: Optional[Region]
+
+
+# One node of the tree: (node name, node value).
+TreeGraphEntry = Tuple[int, TreeNodeValue]
 
 
 def presort(boxes: Sequence[Box]) -> Tuple[List[Box], List[Box]]:
@@ -78,16 +92,24 @@ def build_memory_tree(
     x_sorted: Sequence[Box],
     y_sorted: Sequence[Box],
     depth: int = 0,
-) -> Optional[KdNode]:
+) -> List[TreeGraphEntry]:
     """Build the balanced tree from the two presorted arrays.
 
     The split axis cycles x_min, y_min with depth (x_min at even depths).
     The median of a length-n array is index n // 2.
 
-    Returns None for empty input.
+    Returns the (name, TreeNodeValue) entries in pre-order, root first;
+    an empty list for empty input.
     """
+    entries: List[TreeGraphEntry] = []
+    _build(x_sorted, y_sorted, depth, entries)
+    return entries
+
+
+def _build(x_sorted, y_sorted, depth, entries) -> Tuple[Optional[int], Optional[Region]]:
+    """Append a subtree's entries; return its root's name and its region."""
     if not x_sorted:
-        return None
+        return None, None
     axis = depth & 1
     if axis == AXIS_XMIN:
         split_arr, other_arr = x_sorted, y_sorted
@@ -107,16 +129,24 @@ def build_memory_tree(
         less_args = (other_less, split_less)
         greater_args = (other_greater, split_greater)
 
-    less = build_memory_tree(*less_args, depth + 1)
-    greater = build_memory_tree(*greater_args, depth + 1)
+    # the node takes its pre-order slot now and fills it once the children
+    # have returned their names and regions
+    slot = len(entries)
+    entries.append(None)
+    lt_name, lt_region = _build(*less_args, depth + 1, entries)
+    gt_name, gt_region = _build(*greater_args, depth + 1, entries)
+    entries[slot] = (median.name, TreeNodeValue(median, lt_name, lt_region, gt_name, gt_region))
+    children = [r for r in (lt_region, gt_region) if r is not None]
+    return median.name, merge_region(median, children)
 
-    # Bounding regions are computed as the recursion unwinds.
-    children = [c.region for c in (less, greater) if c is not None]
-    return KdNode(median, less, greater, merge_region(median, children))
 
-
-def tree_depth(root: Optional[KdNode]) -> int:
-    """Number of levels in the tree (0 for an empty tree, 1 for a leaf)."""
-    if root is None:
-        return 0
-    return 1 + max(tree_depth(root.less), tree_depth(root.greater))
+def tree_depth(entries: Sequence[TreeGraphEntry]) -> int:
+    """Levels of the tree rooted at the first entry (0 for none, 1 for a leaf)."""
+    by_name = dict(entries)
+    level = [entries[0][0]] if entries else []
+    depth = 0
+    while level:
+        values = [by_name[name] for name in level]
+        level = [c for v in values for c in (v.lt_name, v.gt_name) if c is not None]
+        depth += 1
+    return depth

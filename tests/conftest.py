@@ -43,4 +43,22 @@ BAD_TREES = {
                               _node(2, UNIT, lt=(1, UNIT))],
     "child-reached-twice": [_node(0, UNIT, lt=(1, UNIT), gt=(1, UNIT)), _node(1, UNIT)],
     "region-misses-subtree": [_node(0, UNIT, lt=(1, UNIT)), _node(1, (5.0, 5.0, 6.0, 6.0))],
+    "list-name": [_node([1], UNIT)],
+    "string-child-name": [_node(0, UNIT, lt=("1", UNIT)), _node(1, UNIT)],
+    "bool-name": [_node(True, UNIT)],
+    "float-name": [_node(1.5, UNIT)],
+    "negative-name": [_node(-3, UNIT)],
+    "null-name": [_node(None, UNIT)],
+}
+
+# The BAD_TREES cases refused when a line is parsed; only a tree file can
+# have them, since an in-process tree is made of Box and int values.
+PARSE_ERRORS = {
+    "non-numeric-coordinate",
+    "list-name",
+    "string-child-name",
+    "bool-name",
+    "float-name",
+    "negative-name",
+    "null-name",
 }

@@ -77,6 +77,20 @@ class TestBuildSearchPipeline:
                     "--workers", 1, "--out", tmp_path / "r.csv"])
         assert code == 2
 
+    def test_repeated_query_name_exits_2(self, tmp_path, capsys):
+        boxes, tree = tmp_path / "boxes.csv", tmp_path / "tree.jsonl"
+        queries, results = tmp_path / "queries.csv", tmp_path / "r.csv"
+        io.write_boxes_csv(boxes, [Box(0, 0.5, 0.5, 2.0, 2.0), Box(1, 100.5, 100.5, 102.0, 102.0)])
+        assert run(["build", "--in", boxes, "--workers", 1, "--out", tree]) == 0
+        # two queries named 5, each meeting a different tree box: their
+        # answers must not be merged into one row
+        queries.write_text(io.BOX_CSV_HEADER + "\n5,0.0,0.0,1.0,1.0\n5,101.0,101.0,103.0,103.0\n")
+        code = run(["search", "--tree", tree, "--queries", queries,
+                    "--workers", 1, "--out", results])
+        assert code == 2
+        assert "queries.csv:3: repeated box name 5" in capsys.readouterr().err
+        assert not results.exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         code = run(["build", "--in", tmp_path / "nope.csv", "--workers", 1,
                     "--out", tmp_path / "t.jsonl"])

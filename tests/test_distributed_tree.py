@@ -4,6 +4,7 @@ from functools import reduce
 
 import pytest
 
+from boxtree import distributed_tree
 from boxtree.engine import Engine, EngineConfig
 from boxtree.geometry import (
     AXIS_XMAX,
@@ -34,8 +35,7 @@ def engine():
 
 
 def memory_entries(boxes):
-    root = build_memory_tree(*presort(boxes))
-    return set(flatten_memory_subtree(root)) if root else set()
+    return set(build_memory_tree(*presort(boxes)))
 
 
 class TestFourWayPresort:
@@ -139,6 +139,23 @@ class TestBuild:
                 outputs.append(build_distributed_tree(boxes, eng, 2).collect())
         assert all(out == outputs[0] for out in outputs)
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_cutoff_0_runs_no_engine_presort(self, monkeypatch, workers):
+        calls = []
+
+        def counting_presort(engine, boxes):
+            calls.append(len(boxes))
+            return four_way_presort(engine, boxes)
+
+        monkeypatch.setattr(distributed_tree, "four_way_presort", counting_presort)
+        boxes = random_boxes(300, seed=31)
+        with Engine(EngineConfig(workers=workers)) as eng:
+            assert set(build_distributed_tree(boxes, eng, 0).collect()) == memory_entries(boxes)
+            assert calls == []
+            # a cutoff that subdivides on the engine does presort, once
+            assert set(build_distributed_tree(boxes, eng, 1).collect()) == memory_entries(boxes)
+            assert calls == [300]
+
 
 class TestGraphShape:
     def test_well_formed_tree_graph(self, engine):
@@ -212,19 +229,3 @@ class TestFlatten:
         entries = dict(flatten_memory_subtree(root))
         assert len(entries) == 3
         assert entries[2].lt_name == 0 and entries[2].gt_name == 1
-
-    def test_round_trip_reconstructs_isomorphic_tree(self):
-        boxes = random_boxes(100, seed=8)
-        root = build_memory_tree(*presort(boxes))
-        by_name = dict(flatten_memory_subtree(root))
-
-        def rebuild(name):
-            value = by_name[name]
-            less = rebuild(value.lt_name) if value.lt_name is not None else None
-            greater = rebuild(value.gt_name) if value.gt_name is not None else None
-            region = merge_region(
-                value.box, [c.region for c in (less, greater) if c is not None]
-            )
-            return type(root)(value.box, less, greater, region)
-
-        assert rebuild(root.box.name) == root

@@ -6,7 +6,7 @@ from boxtree.engine import Engine, EngineConfig
 from boxtree.distributed_tree import build_distributed_tree
 from boxtree.testdata import SquareGridSpec, generate_test_data
 
-from conftest import BAD_TREES, random_boxes
+from conftest import BAD_TREES, PARSE_ERRORS, random_boxes
 
 
 class TestBoxCsv:
@@ -40,6 +40,12 @@ class TestBoxCsv:
         path = tmp_path / "bad.csv"
         path.write_text(io.BOX_CSV_HEADER + "\n-1,0.0,0.0,1.0,1.0\n")
         with pytest.raises(ValueError):
+            io.read_boxes_csv(path)
+
+    def test_rejects_repeated_name(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(io.BOX_CSV_HEADER + "\n5,0.0,0.0,1.0,1.0\n5,2.0,2.0,3.0,3.0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: repeated box name 5"):
             io.read_boxes_csv(path)
 
     def test_rejects_inverted_box(self, tmp_path):
@@ -96,11 +102,11 @@ class TestBenchCsv:
 
 
 class TestValidateTree:
-    # Loading checks only the syntax of each line; the tree-shape defects of
+    # Loading checks each line on its own; the tree-shape defects of
     # BAD_TREES are refused where the search starts (test_distributed_search).
-    @pytest.mark.parametrize("case", ["non-numeric-coordinate"])
+    @pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
     def test_rejected_on_load(self, tmp_path, case):
         path = tmp_path / "tree.jsonl"
         path.write_text("\n".join(BAD_TREES[case]) + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"tree\.jsonl:\d+: "):
             io.read_tree_jsonl(path)

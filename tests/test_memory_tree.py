@@ -4,8 +4,9 @@ import random
 import pytest
 
 from boxtree.engine import Engine, EngineConfig
-from boxtree.geometry import AXIS_XMIN, Box, DuplicateNameError, superkey
+from boxtree.geometry import AXIS_XMIN, Box, DuplicateNameError, Region, superkey
 from boxtree.memory_tree import (
+    TreeNodeValue,
     build_memory_tree,
     presort,
     sweep_and_partition,
@@ -20,10 +21,12 @@ def build(boxes):
     return build_memory_tree(x_sorted, y_sorted)
 
 
-def all_nodes(root):
-    if root is None:
+def subtree_names(by_name, name):
+    """Names of the subtree below ``name`` (itself included), in pre-order."""
+    if name is None:
         return []
-    return [root] + all_nodes(root.less) + all_nodes(root.greater)
+    value = by_name[name]
+    return [name, *subtree_names(by_name, value.lt_name), *subtree_names(by_name, value.gt_name)]
 
 
 class TestPresort:
@@ -83,53 +86,61 @@ class TestSweepAndPartition:
 class TestBuild:
     def test_single_box_leaf(self):
         b = Box(3, 1.0, 2.0, 3.0, 4.0)
-        root = build([b])
-        assert root.box == b
-        assert root.less is None and root.greater is None
-        assert tuple(root.region) == (1.0, 2.0, 3.0, 4.0)
+        assert build([b]) == [(3, TreeNodeValue(b, None, None, None, None))]
 
     def test_empty_input(self):
-        assert build([]) is None
+        assert build([]) == []
 
     def test_three_boxes_median_root(self):
         boxes = [Box(0, 1.0, 0, 2, 1), Box(1, 5.0, 0, 6, 1), Box(2, 3.0, 0, 4, 1)]
-        root = build(boxes)
-        assert root.box.name == 2  # middle x_min
-        assert root.less.box.name == 0 and root.greater.box.name == 1
-        assert root.less.less is None and root.greater.greater is None
+        entries = build(boxes)
+        assert [name for name, _ in entries] == [2, 0, 1]  # middle x_min first
+        by_name = dict(entries)
+        assert by_name[2].lt_name == 0 and by_name[2].gt_name == 1
+        assert by_name[0].lt_name is None and by_name[1].gt_name is None
 
     def test_seven_boxes_depth_and_subtree_ordering(self):
         boxes = random_boxes(7, seed=3)
-        root = build(boxes)
-        assert tree_depth(root) == 3
+        entries = build(boxes)
+        assert tree_depth(entries) == 3
+        by_name = dict(entries)
 
-        def check(node, depth):
-            if node is None:
+        def check(name, depth):
+            if name is None:
                 return
+            value = by_name[name]
             axis = depth % 2
-            pivot = superkey(node.box, axis)
-            for desc in all_nodes(node.less):
-                assert superkey(desc.box, axis) < pivot
-            for desc in all_nodes(node.greater):
-                assert superkey(desc.box, axis) > pivot
-            check(node.less, depth + 1)
-            check(node.greater, depth + 1)
+            pivot = superkey(value.box, axis)
+            for desc in subtree_names(by_name, value.lt_name):
+                assert superkey(by_name[desc].box, axis) < pivot
+            for desc in subtree_names(by_name, value.gt_name):
+                assert superkey(by_name[desc].box, axis) > pivot
+            check(value.lt_name, depth + 1)
+            check(value.gt_name, depth + 1)
 
-        check(root, 0)
+        check(entries[0][0], 0)
+
+    def test_pre_order_root_first(self):
+        boxes = random_boxes(100, seed=4)
+        entries = build(boxes)
+        names = [name for name, _ in entries]
+        assert sorted(names) == [b.name for b in boxes]
+        assert names == subtree_names(dict(entries), names[0])
 
     def test_balance_bound(self):
         for n in [*range(1, 65), 100, 255, 256, 257, 1000, 2**10, 2**12]:
-            root = build(random_boxes(n, seed=n))
-            assert tree_depth(root) <= math.floor(math.log2(n)) + 1, f"unbalanced at n={n}"
+            entries = build(random_boxes(n, seed=n))
+            assert tree_depth(entries) <= math.floor(math.log2(n)) + 1, f"unbalanced at n={n}"
 
     def test_region_contains_all_subtree_boxes(self):
-        root = build(random_boxes(200, seed=5))
-        for node in all_nodes(root):
-            r = node.region
-            for desc in all_nodes(node):
-                b = desc.box
-                assert r.x_min <= b.x_min and r.y_min <= b.y_min
-                assert b.x_max <= r.x_max and b.y_max <= r.y_max
+        by_name = dict(build(random_boxes(200, seed=5)))
+        for value in by_name.values():
+            for child, r in ((value.lt_name, value.lt_region), (value.gt_name, value.gt_region)):
+                assert (child is None) == (r is None)
+                for desc in subtree_names(by_name, child):
+                    b = by_name[desc].box
+                    assert r.x_min <= b.x_min and r.y_min <= b.y_min
+                    assert b.x_max <= r.x_max and b.y_max <= r.y_max
 
     def test_deterministic_and_parallel_identical(self):
         boxes = random_boxes(300, seed=11)
@@ -140,6 +151,22 @@ class TestBuild:
             jobs = engine.from_items([presort(boxes)] * 4)
             parallel = jobs.map(lambda xy: build_memory_tree(*xy)).collect()
         assert all(t == t1 for t in (t2, *parallel))
+
+
+class TestTreeDepth:
+    @pytest.mark.parametrize("n, levels", [(0, 0), (1, 1), (2, 2), (3, 2), (7, 3)])
+    def test_levels_of_built_tree(self, n, levels):
+        assert tree_depth(build(random_boxes(n, seed=n))) == levels
+
+    def test_counts_levels_of_an_unbalanced_chain(self):
+        # the depth is walked from the first entry, not derived from the size
+        unit = Region(0.0, 0.0, 1.0, 1.0)
+        chain = [
+            (0, TreeNodeValue(Box(0, *unit), None, None, 1, unit)),
+            (1, TreeNodeValue(Box(1, *unit), 2, unit, None, None)),
+            (2, TreeNodeValue(Box(2, *unit), None, None, None, None)),
+        ]
+        assert tree_depth(chain) == 3
 
 
 class CountingFloat(float):
