@@ -22,7 +22,7 @@ from .distributed_search import run_search
 from .distributed_tree import build_distributed_tree
 from .engine import Engine, EngineConfig
 from .fits import FitResult, fit_linear_nlogn, fit_scaling_model
-from .testdata import SquareGridSpec, generate_test_data, verify_search_results
+from .testdata import BOXES_PER_SQUARE, SquareGridSpec, generate_test_data, verify_search_results
 
 __all__ = ["main"]
 
@@ -52,9 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, required=True)
     p.add_argument("--out", required=True, help="output results CSV")
     p.add_argument("--verify", action="store_true",
-                   help="check results against the brute-force oracle, square by square")
-    p.add_argument("--squares", type=int, default=None,
-                   help="square count the queries were generated with (for --verify)")
+                   help="check results against the oracle for the grid the queries fill")
 
     p = sub.add_parser("bench", help="timing sweeps")
     bench_sub = p.add_subparsers(dest="kind", required=True)
@@ -108,8 +106,6 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.verify and args.squares is None:
-        raise ValueError("--verify requires --squares")
     entries = io.read_tree_jsonl(args.tree)
     queries = io.read_boxes_csv(args.queries)
     with Engine(EngineConfig(args.workers)) as engine:
@@ -119,7 +115,8 @@ def _cmd_search(args) -> int:
     io.write_results_csv(args.out, grouped)
     print(f"wrote {len(grouped)} result rows to {args.out}")
     if args.verify:
-        ok = verify_search_results(dict(grouped), args.squares)
+        squares, rest = divmod(len(queries), BOXES_PER_SQUARE)
+        ok = not rest and verify_search_results(dict(grouped), squares)
         print(f"verification: {'ok' if ok else 'FAILED'}")
         return 0 if ok else 1
     return 0

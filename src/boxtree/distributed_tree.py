@@ -1,20 +1,21 @@
 """Distributed tree build: the tree as a pair dataset of named nodes.
 
 The upper tree is built by subdividing four presorted datasets (x_min,
-y_min, x_max and y_max super-key order). Keeping all four orders lets a
-node's bounding region be read off the first/last elements of the child
-datasets, so nothing has to be returned as the recursion unwinds. At a
-cutoff depth the current datasets are collected to arrays, and the
-subtrees below are built by the memory-resident algorithm, which is
-several orders of magnitude faster per element, as one ``flat_map`` over
-a dataset of subtree jobs on the engine's workers. At cutoff 0 nothing is
-subdivided, so there is no four-way presort: the whole tree is one job.
+y_min, x_max and y_max super-key order) with the memory build's
+recursion: each node splits its datasets at the median, recurses into
+both children and returns its name and region, read off the first/last
+elements of its own four datasets, to its parent. At a cutoff depth the
+current datasets are collected to arrays, and the subtrees below are
+built by the memory-resident algorithm, which is several orders of
+magnitude faster per element, as one ``flat_map`` over a dataset of
+subtree jobs on the engine's workers. At cutoff 0 nothing is subdivided,
+so there is no four-way presort: the whole tree is one job.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .engine import Engine, PairDataset, PartitionedDataset
 from .geometry import (
@@ -76,33 +77,19 @@ def region_from_sorted(
     )
 
 
-def _subdivide(ds4: Tuple, n: int, axis: int):
-    """Split the axis dataset at its median and filter the other three."""
-    split_less, median, split_greater = ds4[axis].split_at(n // 2)
-    pivot, coord = superkey(median, axis), axis + 1
-    less4 = tuple(
-        split_less if a == axis else ds.filter(lambda b, p=pivot, c=coord: (b[c], b[0]) < p)
-        for a, ds in zip(SORT_AXES, ds4)
-    )
-    greater4 = tuple(
-        split_greater if a == axis else ds.filter(lambda b, p=pivot, c=coord: (b[c], b[0]) > p)
-        for a, ds in zip(SORT_AXES, ds4)
-    )
-    return less4, median, greater4
-
-
 def build_distributed_tree(
     boxes: Sequence[Box], engine: Engine, cutoff: int = 0
 ) -> PairDataset:
     """Build the tree as a pair dataset of (name, TreeNodeValue) entries.
 
     Depths above ``cutoff`` are built by subdividing the four sorted
-    datasets; at the cutoff the x_min/y_min datasets are collected to
-    arrays, and every such branch becomes one subtree job that the engine
-    builds in memory. The default of 0 subdivides nothing: the boxes are
-    presorted in memory, with no four-way presort, and built as one job.
-    The entry set is identical for every cutoff and worker count, and
-    equals ``build_memory_tree``'s.
+    datasets, each branch returning its root's name and region upward as
+    the memory build does; at the cutoff the x_min/y_min datasets are
+    collected to arrays, and every such branch becomes one subtree job
+    that the engine builds in memory. The default of 0 subdivides nothing:
+    the boxes are presorted in memory, with no four-way presort, and built
+    as one job. The entry set is identical for every cutoff and worker
+    count, and equals ``build_memory_tree``'s.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff depth must be >= 0, got {cutoff}")
@@ -120,42 +107,39 @@ def build_distributed_tree(
     return engine.from_items(entries + subtrees.collect())
 
 
-def _build(
-    ds4: Tuple,
-    n: int,
-    depth: int,
-    cutoff: int,
-    entries: List[TreeGraphEntry],
-    jobs: List[_SubtreeJob],
-) -> None:
+def _build(ds4, n, depth, cutoff, entries, jobs) -> Tuple[Optional[int], Optional[Region]]:
+    """Append a branch's entries and jobs; return its root's name and its region."""
     if n == 0:
-        return
-    if depth >= cutoff:
-        # small enough: hand the rest of this branch to the array path
-        jobs.append((ds4[AXIS_XMIN].collect(), ds4[AXIS_YMIN].collect(), depth))
-        return
-
+        return None, None
+    region = region_from_sorted(*ds4)
     axis = depth & 1
-    less4, median, greater4 = _subdivide(ds4, n, axis)
-    n_less = n // 2
-    n_greater = n - n_less - 1
+    if depth >= cutoff:
+        # small enough: hand the rest of this branch to the array path, whose
+        # root is the median of the collected split order
+        job = (ds4[AXIS_XMIN].collect(), ds4[AXIS_YMIN].collect(), depth)
+        jobs.append(job)
+        return job[axis][n // 2].name, region
 
-    # child names/regions are read from the child datasets up front, so no
-    # information ever needs to flow back up the recursion
-    child_axis = (depth + 1) & 1
-    lt_name = lt_region = gt_name = gt_region = None
-    if n_less:
-        lt_region = region_from_sorted(*less4)
-        lt_name = less4[child_axis].element_at(n_less // 2).name
-    if n_greater:
-        gt_region = region_from_sorted(*greater4)
-        gt_name = greater4[child_axis].element_at(n_greater // 2).name
-    entries.append(
-        (median.name, TreeNodeValue(median, lt_name, lt_region, gt_name, gt_region))
+    # split the axis dataset at its median and filter the other three
+    split_less, median, split_greater = ds4[axis].split_at(n // 2)
+    pivot, coord = superkey(median, axis), axis + 1
+    less4 = tuple(
+        split_less if a == axis else ds.filter(lambda b, p=pivot, c=coord: (b[c], b[0]) < p)
+        for a, ds in zip(SORT_AXES, ds4)
+    )
+    greater4 = tuple(
+        split_greater if a == axis else ds.filter(lambda b, p=pivot, c=coord: (b[c], b[0]) > p)
+        for a, ds in zip(SORT_AXES, ds4)
     )
 
-    _build(less4, n_less, depth + 1, cutoff, entries, jobs)
-    _build(greater4, n_greater, depth + 1, cutoff, entries, jobs)
+    # the node takes its pre-order slot now and fills it once the children
+    # have returned their names and regions
+    slot = len(entries)
+    entries.append(None)
+    lt_name, lt_region = _build(less4, n // 2, depth + 1, cutoff, entries, jobs)
+    gt_name, gt_region = _build(greater4, n - n // 2 - 1, depth + 1, cutoff, entries, jobs)
+    entries[slot] = (median.name, TreeNodeValue(median, lt_name, lt_region, gt_name, gt_region))
+    return median.name, region
 
 
 def flatten_memory_subtree(entries: Sequence[TreeGraphEntry]) -> List[TreeGraphEntry]:

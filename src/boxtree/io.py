@@ -2,16 +2,17 @@
 
 Floats are written with repr-style shortest round-trip formatting, so a
 write/read cycle reproduces every value bit-exactly and generation is
-byte-deterministic. Readers check each line's syntax and names and, for
-box CSVs, each box and that no name repeats; whether a tree file's
-entries form one searchable tree is checked by the search itself
-(``distributed_search.tree_root_name``).
+byte-deterministic. Readers check each line's syntax and names, each
+box and that no name repeats in box CSVs, and each record's values in
+bench CSVs; whether a tree file's entries form one searchable tree is
+checked by the search itself (``distributed_search.tree_root_name``).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Sequence, Tuple
+import math
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .geometry import Box, Region, validate_box
 from .memory_tree import TreeGraphEntry, TreeNodeValue
@@ -31,6 +32,7 @@ __all__ = [
 BOX_CSV_HEADER = "name,xmin,ymin,xmax,ymax"
 RESULTS_CSV_HEADER = "query,matches"
 BENCH_CSV_HEADER = "phase,n,workers,repeat,seconds"
+_NUMBER = {int, float}  # bool, an int subclass, is not in it
 
 
 def write_boxes_csv(path: str, boxes: Sequence[Box]) -> None:
@@ -40,35 +42,48 @@ def write_boxes_csv(path: str, boxes: Sequence[Box]) -> None:
             fh.write(f"{b.name},{b.x_min!r},{b.y_min!r},{b.x_max!r},{b.y_max!r}\n")
 
 
-def read_boxes_csv(path: str) -> List[Box]:
-    """Parse a box CSV; a bad line, a bad box or a repeated name is refused."""
-    boxes = []
-    seen = set()
+def _read_rows(path: str, header: str, nfields: int, parse: Callable[[List[str]], Any]) -> List:
+    """``parse`` applied to each row's fields, after the header; blank lines skipped.
+
+    A wrong header is refused, and so is a row with the wrong field count
+    or one that ``parse`` refuses with ValueError, prefixed with
+    ``path:line``.
+    """
+    rows = []
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != BOX_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {BOX_CSV_HEADER!r}, got {header!r}")
+        first = fh.readline().strip()
+        if first != header:
+            raise ValueError(f"{path}: expected header {header!r}, got {first!r}")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             fields = line.split(",")
-            if len(fields) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
             try:
-                name = int(fields[0])
-                coords = [float(f) for f in fields[1:]]
+                if len(fields) != nfields:
+                    raise ValueError(f"expected {nfields} fields, got {len(fields)}")
+                rows.append(parse(fields))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if name < 0:
-                raise ValueError(f"{path}:{lineno}: names must be non-negative")
-            if name in seen:
-                raise ValueError(f"{path}:{lineno}: repeated box name {name}")
-            seen.add(name)
-            box = Box(name, *coords)
-            validate_box(box)
-            boxes.append(box)
-    return boxes
+    return rows
+
+
+def read_boxes_csv(path: str) -> List[Box]:
+    """Parse a box CSV; a bad line, a bad box or a repeated name is refused."""
+    seen = set()
+
+    def parse(fields: List[str]) -> Box:
+        name = int(fields[0])
+        if name < 0:
+            raise ValueError("names must be non-negative")
+        if name in seen:
+            raise ValueError(f"repeated box name {name}")
+        seen.add(name)
+        box = Box(name, float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4]))
+        validate_box(box)
+        return box
+
+    return _read_rows(path, BOX_CSV_HEADER, 5, parse)
 
 
 def _child_obj(name, region):
@@ -97,19 +112,26 @@ def _node_name(value) -> int:
     return value
 
 
+def _four_numbers(value) -> Iterable[float]:
+    # float() would also take "0022", "6.0" or true: only JSON numbers may pass
+    if type(value) is not list or len(value) != 4 or not _NUMBER.issuperset(map(type, value)):
+        raise ValueError(f"expected a list of four numbers, got {json.dumps(value)}")
+    return map(float, value)
+
+
 def _child_fields(obj) -> Tuple:
     if obj is None:
         return None, None
-    return _node_name(obj["name"]), Region(*map(float, obj["region"]))
+    return _node_name(obj["name"]), Region(*_four_numbers(obj["region"]))
 
 
 def read_tree_jsonl(path: str) -> List[TreeGraphEntry]:
     """Parse a tree file into (name, TreeNodeValue) entries, in file order.
 
-    Only each line is checked here: its syntax, numeric coordinates and
-    non-negative integer node names. Whether the entries form a tree a
-    search can walk is checked where every search starts,
-    ``distributed_search.tree_root_name``.
+    Only each line is checked here: its syntax, a box and regions of four
+    JSON numbers each, and non-negative integer node names. Whether the
+    entries form a tree a search can walk is checked where every search
+    starts, ``distributed_search.tree_root_name``.
     """
     entries: List[TreeGraphEntry] = []
     with open(path, "r", encoding="ascii") as fh:
@@ -120,7 +142,7 @@ def read_tree_jsonl(path: str) -> List[TreeGraphEntry]:
             try:
                 obj = json.loads(line)
                 name = _node_name(obj["name"])
-                box = Box(name, *map(float, obj["box"]))
+                box = Box(name, *_four_numbers(obj["box"]))
                 lt_name, lt_region = _child_fields(obj["lt"])
                 gt_name, gt_region = _child_fields(obj["gt"])
             except (KeyError, TypeError, ValueError) as exc:
@@ -138,18 +160,11 @@ def write_results_csv(path: str, grouped: Iterable[Tuple[int, Sequence[int]]]) -
 
 
 def read_results_csv(path: str) -> Dict[int, List[int]]:
-    out: Dict[int, List[int]] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != RESULTS_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {RESULTS_CSV_HEADER!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            query, _, matches = line.partition(",")
-            out[int(query)] = [int(m) for m in matches.split(";")] if matches else []
-    return out
+    def parse(fields: List[str]) -> Tuple[int, List[int]]:
+        query, matches = fields
+        return int(query), [int(m) for m in matches.split(";")] if matches else []
+
+    return dict(_read_rows(path, RESULTS_CSV_HEADER, 2, parse))
 
 
 def write_bench_csv(path: str, records: Iterable) -> None:
@@ -160,19 +175,18 @@ def write_bench_csv(path: str, records: Iterable) -> None:
 
 
 def read_bench_csv(path: str):
+    """Parse a benchmark CSV; a row no sweep could have written is refused."""
     from .bench import BenchRecord
 
-    records = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != BENCH_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {BENCH_CSV_HEADER!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            phase, n, workers, repeat, seconds = line.split(",")
-            records.append(
-                BenchRecord(phase, int(n), int(workers), int(repeat), float(seconds))
-            )
-    return records
+    def parse(fields: List[str]) -> BenchRecord:
+        phase, n, workers, repeat, seconds = fields
+        rec = BenchRecord(phase, int(n), int(workers), int(repeat), float(seconds))
+        if rec.phase not in ("build", "search"):
+            raise ValueError(f"unknown phase {rec.phase!r}")
+        if rec.n < 1 or rec.workers < 1 or rec.repeat < 0:
+            raise ValueError("n and workers must be >= 1 and repeat >= 0")
+        if not (math.isfinite(rec.seconds) and rec.seconds >= 0):
+            raise ValueError(f"seconds must be finite and non-negative, got {seconds}")
+        return rec
+
+    return _read_rows(path, BENCH_CSV_HEADER, 5, parse)

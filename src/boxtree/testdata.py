@@ -11,6 +11,7 @@ oracle for any search path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
@@ -32,8 +33,8 @@ class SquareGridSpec:
     side: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.side <= 0:
-            raise ValueError(f"square side must be positive, got {self.side}")
+        if not (math.isfinite(self.side) and self.side > 0):
+            raise ValueError(f"square side must be finite and positive, got {self.side}")
 
 
 # Canonical rectangle layout inside a 100-unit square, as

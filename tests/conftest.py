@@ -49,6 +49,12 @@ BAD_TREES = {
     "float-name": [_node(1.5, UNIT)],
     "negative-name": [_node(-3, UNIT)],
     "null-name": [_node(None, UNIT)],
+    # float() takes each of these; a tree file's coordinates are JSON numbers
+    "string-box": ['{"name":0,"box":"0022","lt":null,"gt":null}'],
+    "string-coordinate": [_node(0, ("0.0", "0.0", "1.0", "1.0"))],
+    "bool-coordinate": [_node(0, (True, True, 2, 2))],
+    "string-region": ['{"name":0,"box":[0,0,1,1],"lt":{"name":1,"region":"0011"},"gt":null}',
+                      _node(1, UNIT)],
 }
 
 # The BAD_TREES cases refused when a line is parsed; only a tree file can
@@ -61,4 +67,8 @@ PARSE_ERRORS = {
     "float-name",
     "negative-name",
     "null-name",
+    "string-box",
+    "string-coordinate",
+    "bool-coordinate",
+    "string-region",
 }

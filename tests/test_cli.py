@@ -20,6 +20,12 @@ class TestGen:
     def test_bad_square_count_exits_2(self, tmp_path):
         assert run(["gen", "--squares", 0, "--out", tmp_path / "x.csv"]) == 2
 
+    @pytest.mark.parametrize("side", ["nan", "inf"])
+    def test_non_finite_side_exits_2(self, tmp_path, side):
+        out = tmp_path / "x.csv"
+        assert run(["gen", "--squares", 1, "--side", side, "--out", out]) == 2
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["gen", "--squares", 2, "--out", a])
@@ -40,31 +46,38 @@ class TestBuildSearchPipeline:
         assert run(["build", "--in", boxes_csv, "--workers", 2, "--out", tree]) == 0
         code = run([
             "search", "--tree", tree, "--queries", boxes_csv,
-            "--workers", 2, "--out", results, "--verify", "--squares", 4,
+            "--workers", 2, "--out", results, "--verify",
         ])
         assert code == 0
         assert "verification: ok" in capsys.readouterr().out
         assert len(io.read_results_csv(results)) == 36
 
     def test_verification_failure_exits_1(self, tmp_path, boxes_csv, capsys):
-        tree = tmp_path / "tree.jsonl"
-        results = tmp_path / "results.csv"
+        tree, queries = tmp_path / "tree.jsonl", tmp_path / "queries.csv"
         run(["build", "--in", boxes_csv, "--workers", 1, "--out", tree])
+        # query 0 moved from square 0 onto its twin in square 1
+        boxes = io.read_boxes_csv(boxes_csv)
+        boxes[0] = boxes[0]._replace(x_min=boxes[0].x_min + 100.0, x_max=boxes[0].x_max + 100.0)
+        io.write_boxes_csv(queries, boxes)
         code = run([
-            "search", "--tree", tree, "--queries", boxes_csv,
-            "--workers", 1, "--out", results, "--verify", "--squares", 5,
+            "search", "--tree", tree, "--queries", queries,
+            "--workers", 1, "--out", tmp_path / "r.csv", "--verify",
         ])
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
 
-    def test_verify_without_squares_exits_2(self, tmp_path, boxes_csv):
-        tree = tmp_path / "tree.jsonl"
+    def test_verification_of_a_partial_square_exits_1(self, tmp_path, boxes_csv, capsys):
+        tree, queries = tmp_path / "tree.jsonl", tmp_path / "queries.csv"
         run(["build", "--in", boxes_csv, "--workers", 1, "--out", tree])
+        # a 65th query that meets nothing leaves the results of the 4 squares
+        # as they are, but 65 queries are not a whole number of squares
+        io.write_boxes_csv(queries, io.read_boxes_csv(boxes_csv) + [Box(64, -9.0, -9.0, -8.0, -8.0)])
         code = run([
-            "search", "--tree", tree, "--queries", boxes_csv,
+            "search", "--tree", tree, "--queries", queries,
             "--workers", 1, "--out", tmp_path / "r.csv", "--verify",
         ])
-        assert code == 2
+        assert code == 1
+        assert "FAILED" in capsys.readouterr().out
 
     @pytest.mark.parametrize("case", sorted(BAD_TREES))
     def test_malformed_tree_exits_2(self, tmp_path, case):
@@ -118,6 +131,17 @@ class TestBenchAndFit:
 
         assert run(["fit", "nlogn", "--in", out]) == 0
         assert "nlogn,t_S," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model,row", [
+        ("nlogn", "build,256,1,0,nan"),
+        ("nlogn", "build,0,1,0,0.5"),
+        ("scaling", "build,256,0,0,0.5"),
+    ])
+    def test_fit_refuses_bad_row_exits_2(self, tmp_path, capsys, model, row):
+        path = tmp_path / "bench.csv"
+        path.write_text(f"{io.BENCH_CSV_HEADER}\nbuild,256,1,0,0.5\nbuild,512,2,0,0.9\n{row}\n")
+        assert run(["fit", model, "--in", path]) == 2
+        assert "bench.csv:4: " in capsys.readouterr().err
 
     def test_bench_scaling_then_fit(self, tmp_path, capsys):
         out = tmp_path / "scaling.csv"

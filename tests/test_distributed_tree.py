@@ -5,7 +5,8 @@ from functools import reduce
 import pytest
 
 from boxtree import distributed_tree
-from boxtree.engine import Engine, EngineConfig
+from boxtree.bench import FULL_DEPTH
+from boxtree.engine import Engine, EngineConfig, PartitionedDataset
 from boxtree.geometry import (
     AXIS_XMAX,
     AXIS_XMIN,
@@ -155,6 +156,29 @@ class TestBuild:
             # a cutoff that subdivides on the engine does presort, once
             assert set(build_distributed_tree(boxes, eng, 1).collect()) == memory_entries(boxes)
             assert calls == [300]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_engine_build_does_not_look_ahead(self, monkeypatch, workers):
+        calls = {"element_at": 0, "region_from_sorted": 0}
+        element_at = PartitionedDataset.element_at
+
+        def counting_element_at(ds, index):
+            calls["element_at"] += 1
+            return element_at(ds, index)
+
+        def counting_region(*ds4):
+            calls["region_from_sorted"] += 1
+            return region_from_sorted(*ds4)
+
+        monkeypatch.setattr(PartitionedDataset, "element_at", counting_element_at)
+        monkeypatch.setattr(distributed_tree, "region_from_sorted", counting_region)
+        boxes = random_boxes(300, seed=33)
+        with Engine(EngineConfig(workers=workers)) as eng:
+            entries = set(build_distributed_tree(boxes, eng, FULL_DEPTH).collect())
+        assert entries == memory_entries(boxes)
+        # each node reads its region once, from its own datasets, and no
+        # node reads its children's medians ahead of their own split
+        assert calls == {"element_at": 0, "region_from_sorted": 300}
 
 
 class TestGraphShape:

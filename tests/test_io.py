@@ -3,6 +3,7 @@ import pytest
 from boxtree import io
 from boxtree.bench import BenchRecord
 from boxtree.engine import Engine, EngineConfig
+from boxtree.geometry import Box, Region
 from boxtree.distributed_tree import build_distributed_tree
 from boxtree.testdata import SquareGridSpec, generate_test_data
 
@@ -74,6 +75,13 @@ class TestTreeJsonl:
         names = [int(line.split(":")[1].split(",")[0]) for line in path.read_text().splitlines()]
         assert names == sorted(names)
 
+    def test_integer_coordinates_accepted(self, tmp_path):
+        path = tmp_path / "tree.jsonl"
+        path.write_text('{"name":0,"box":[0,0,1,1],"lt":{"name":1,"region":[2,2,3,3]},"gt":null}\n')
+        ((_, value),) = io.read_tree_jsonl(path)
+        assert value.box == Box(0, 0.0, 0.0, 1.0, 1.0)
+        assert value.lt_region == Region(2.0, 2.0, 3.0, 3.0)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "tree.jsonl"
         path.write_text('{"name":0,"box":[0,0,1,1]}\n')  # missing lt/gt
@@ -99,6 +107,24 @@ class TestBenchCsv:
         path = tmp_path / "bench.csv"
         io.write_bench_csv(path, records)
         assert io.read_bench_csv(path) == records
+
+    @pytest.mark.parametrize("row", [
+        "build,256,4,0",
+        "build,256,4,0,0.5,7",
+        "train,256,4,0,0.5",
+        "build,0,4,0,0.5",
+        "build,256,0,0,0.5",
+        "build,256,4,-1,0.5",
+        "build,256,4,0,nan",
+        "build,256,4,0,inf",
+        "build,256,4,0,-0.5",
+        "build,256,4,0,fast",
+    ])
+    def test_rejects_bad_row(self, tmp_path, row):
+        path = tmp_path / "bench.csv"
+        path.write_text(f"{io.BENCH_CSV_HEADER}\nbuild,256,4,0,0.5\n\n{row}\n")
+        with pytest.raises(ValueError, match=r"bench\.csv:4: "):
+            io.read_bench_csv(path)
 
 
 class TestValidateTree:

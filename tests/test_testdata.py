@@ -55,6 +55,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SquareGridSpec(1, side=0.0)
 
+    @pytest.mark.parametrize("side", [float("nan"), float("inf")])
+    def test_rejects_non_finite_side(self, side):
+        with pytest.raises(ValueError, match="finite"):
+            SquareGridSpec(1, side=side)
+
 
 class TestBruteForce:
     def test_two_disjoint(self):
