@@ -12,11 +12,12 @@ Elements of a *pair* dataset are (key, value) 2-tuples; the keyed
 operators (sort_by_key, join, group_by_key, flat_map_values) assume that
 shape. Operators evaluate eagerly: there is no lazy DAG.
 
-Because a dataset never changes, ``join`` hashes its right side once and
-keeps that key index on the right dataset, so an iterative job that joins
-against the same dataset on every pass (the tree search) pays the hash
-only on the first pass. Every derived dataset is a new object and starts
-without an index.
+Because a dataset never changes, a value derived from it alone can be
+computed once and kept on it (``cached``): ``join`` keeps its right side's
+key index there, and the tree search its columnar tree, so an iterative
+job that joins against the same dataset on every pass pays for the
+derivation only on the first pass. Every derived dataset is a new object
+and starts with an empty cache.
 """
 
 from __future__ import annotations
@@ -106,13 +107,13 @@ class Engine:
 class PartitionedDataset:
     """Immutable ordered collection of elements split into partitions."""
 
-    __slots__ = ("engine", "partitions", "_index")
+    __slots__ = ("engine", "partitions", "_cache")
 
     def __init__(self, engine: Engine, partitions: Iterable[Iterable[Any]]):
         self.engine = engine
         # tuple(t) on a tuple is a no-op, so internal calls avoid re-copies
         self.partitions = tuple(tuple(p) for p in partitions)
-        self._index: Optional[dict] = None  # key -> [values], built by join
+        self._cache: dict = {}  # values derived from this dataset; see cached()
 
     # ------------------------------------------------------------------
     # element-wise operators (partition structure preserved)
@@ -179,7 +180,7 @@ class PartitionedDataset:
         instead, and its outputs are emitted in match order, in the same
         per-partition pass: no (k, (v1, v2)) tuple is built.
         """
-        get = other._key_index().get
+        get = other.cached("join.key_index", _hash_by_key).get
         if fn is None:
 
             def work(part):
@@ -197,17 +198,17 @@ class PartitionedDataset:
 
         return PartitionedDataset(self.engine, self.engine.per_partition(self.partitions, work))
 
-    def _key_index(self) -> dict:
-        """key -> [values] in dataset order; built once, then reused.
+    def cached(self, key: str, derive: Callable[["PartitionedDataset"], Any]) -> Any:
+        """``derive(self)``, computed on the first call under ``key`` and kept.
 
-        Two threads racing here both build the same index; either one is kept.
+        Only for values that depend on nothing but this dataset's elements.
+        Two threads racing here both derive; either value is kept. When
+        ``derive`` raises, nothing is kept.
         """
-        if self._index is None:
-            index: dict = {}
-            for k, v in self.collect():
-                index.setdefault(k, []).append(v)
-            self._index = index
-        return self._index
+        try:
+            return self._cache[key]
+        except KeyError:
+            return self._cache.setdefault(key, derive(self))
 
     def union(self, other: "PartitionedDataset") -> "PartitionedDataset":
         """Concatenation: this dataset's partitions, then the other's."""
@@ -297,6 +298,14 @@ class PartitionedDataset:
     def __repr__(self) -> str:
         sizes = [len(p) for p in self.partitions]
         return f"<PartitionedDataset n={sum(sizes)} partitions={sizes}>"
+
+
+def _hash_by_key(ds: PartitionedDataset) -> dict:
+    """key -> [values] in dataset order: the index ``join`` keeps on its right side."""
+    index: dict = {}
+    for k, v in ds.collect():
+        index.setdefault(k, []).append(v)
+    return index
 
 
 # A pair dataset is a partitioned dataset whose elements are (key, value)

@@ -79,6 +79,15 @@ class TestBuildSearchPipeline:
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
 
+    def test_names_beyond_64_bits(self, tmp_path):
+        big = 99999999999999999999
+        boxes, tree, results = tmp_path / "boxes.csv", tmp_path / "tree.jsonl", tmp_path / "r.csv"
+        io.write_boxes_csv(boxes, [Box(5, 0.0, 0.0, 2.0, 2.0), Box(big, 1.0, 1.0, 3.0, 3.0)])
+        assert run(["build", "--in", boxes, "--workers", 2, "--out", tree]) == 0
+        assert run(["search", "--tree", tree, "--queries", boxes,
+                    "--workers", 2, "--out", results]) == 0
+        assert results.read_text() == f"query,matches\n5,{big}\n{big},5\n"
+
     @pytest.mark.parametrize("case", sorted(BAD_TREES))
     def test_malformed_tree_exits_2(self, tmp_path, case):
         tree, queries = tmp_path / "tree.jsonl", tmp_path / "queries.csv"

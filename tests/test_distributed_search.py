@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import boxtree
@@ -42,6 +43,33 @@ def grouped_dict(result_ds):
     return {name: list(match) for name, match in result_ds.collect()}
 
 
+def expand(blocks_ds, tree_ds):
+    """Per partition, the blocks of a pass dataset in the search's tuple
+    form, in order: a frontier block as (node name, (query name, query
+    box)) tuples, a pair block as (query name, node name) tuples."""
+    tree = distributed_search._columns(tree_ds).first()[1]
+    node_names = tree.names_by_rank[tree.rank].tolist()  # by position
+    parts = []
+    for part in blocks_ds.partitions:
+        out = []
+        for key, block in part:
+            queries = block.queries
+            names = [queries.names[i] for i in queries.ids[block.query].tolist()]
+            nodes = [node_names[p] for p in block.node.tolist()]
+            if key is None:
+                out.extend(zip(names, nodes))
+            else:
+                coordinates = queries.box[:, block.query].T.tolist()
+                boxes = [Box(name, *xy) for name, xy in zip(names, coordinates)]
+                out.extend((node, (name, box)) for node, name, box in zip(nodes, names, boxes))
+        parts.append(out)
+    return parts
+
+
+def flat(parts):
+    return [element for part in parts for element in part]
+
+
 class TestRootName:
     def test_finds_unreferenced_entry(self, engine):
         boxes = random_boxes(15, seed=0)
@@ -58,6 +86,80 @@ class TestRootName:
                 tree_ds = build_distributed_tree(random_boxes(n, seed=n), engine, cutoff)
                 assert tree_root_name(tree_ds) is not None
             assert tree_root_name(engine.from_items([])) is None
+
+
+def tight_region(boxes):
+    return Region(min(b.x_min for b in boxes), min(b.y_min for b in boxes),
+                  max(b.x_max for b in boxes), max(b.y_max for b in boxes))
+
+
+def chain_entries(boxes):
+    """A valid tree that is one chain: box i's child is box i + 1, on the
+    lt side at even i and the gt side at odd i, with tight regions."""
+    entries = []
+    for i, b in enumerate(boxes):
+        link = (None, None)
+        if i + 1 < len(boxes):
+            link = (boxes[i + 1].name, tight_region(boxes[i + 1 :]))
+        lt, gt = (link, (None, None)) if i % 2 == 0 else ((None, None), link)
+        entries.append((b.name, TreeNodeValue(b, *lt, *gt)))
+    return entries
+
+
+class TestAcceptedTrees:
+    """Valid trees that a check of the wrong shape would refuse."""
+
+    def test_loose_child_regions_are_searched(self, engine):
+        # each child region is padded by more the deeper its child is, so
+        # it still encloses its subtree but not the region above it
+        boxes = random_boxes(200, seed=8, max_side=60.0)
+        entries = build_memory_tree(*presort(boxes))
+        depth = {entries[0][0]: 0}
+        loose = []
+        for name, value in entries:  # pre-order: a parent before its children
+            links = []
+            for child, region in ((value.lt_name, value.lt_region), (value.gt_name, value.gt_region)):
+                if child is not None:
+                    depth[child] = depth[name] + 1
+                    pad = 10.0 * depth[child]
+                    region = Region(region.x_min - pad, region.y_min - pad,
+                                    region.x_max + pad, region.y_max + pad)
+                links += [child, region]
+            loose.append((name, TreeNodeValue(value.box, *links)))
+        tree_ds = engine.from_items(loose)
+        assert tree_root_name(tree_ds) == entries[0][0]
+        result = run_search(search_dataset(engine, boxes), tree_ds)
+        assert grouped_dict(result) == brute_force_intersections(boxes)
+
+    def test_long_chain_is_searched(self, engine):
+        boxes = random_boxes(2000, seed=9, max_side=80.0)
+        tree_ds = engine.from_items(chain_entries(boxes))
+        assert tree_root_name(tree_ds) == boxes[0].name
+        queries = boxes[::50] + [Box(5000, 400.0, 400.0, 600.0, 600.0)]
+        expected = {}
+        for q in queries:
+            hits = sorted(b.name for b in boxes if b != q and boxes_intersect(q, b))
+            if hits:
+                expected[q.name] = hits
+        assert grouped_dict(run_search(search_dataset(engine, queries), tree_ds)) == expected
+
+
+def test_names_beyond_64_bits_stay_out_of_the_frontier(engine):
+    big = 99999999999999999999
+    boxes = [Box(5, 0.0, 0.0, 2.0, 2.0), Box(big, 1.0, 1.0, 3.0, 3.0),
+             Box(big + 1, 2.5, 2.5, 4.0, 4.0)]
+    tree_ds = build_distributed_tree(boxes, engine, 0)
+    queries = init_queries(search_dataset(engine, boxes), tree_root_name(tree_ds))
+    blocks = []
+    while not queries.is_empty():
+        pairs, queries = search_iteration(queries, tree_ds)
+        blocks += [block for _, block in pairs.collect() + queries.collect()]
+    assert blocks
+    for block in blocks:  # positions, never names
+        assert block.query.dtype == block.node.dtype == np.intp
+    result = run_search(search_dataset(engine, boxes), tree_ds)
+    assert grouped_dict(result) == brute_force_intersections(boxes)
+    assert {type(name) for name, _ in result.collect()} == {int}
 
 
 def tree_entries(lines):
@@ -84,9 +186,11 @@ def test_in_process_bad_tree_is_refused(engine, case):
 
 class TestInitQueries:
     def test_single_query_keyed_by_root(self, engine):
+        tree_ds = build_distributed_tree([Box(77, 0.0, 0.0, 5.0, 5.0)], engine, 0)
         b = Box(4, 0.0, 0.0, 1.0, 1.0)
         out = init_queries(search_dataset(engine, [b]), root_name=77)
-        assert out.collect() == [(77, (4, b))]
+        assert [key for key, _ in out.collect()] == [77]
+        assert flat(expand(out, tree_ds)) == [(77, (4, b))]
 
     def test_empty_search_set(self, engine):
         out = init_queries(search_dataset(engine, []), root_name=77)
@@ -94,8 +198,12 @@ class TestInitQueries:
 
     def test_all_queries_share_the_root_key(self, engine):
         boxes = random_boxes(9, seed=1)
-        out = init_queries(search_dataset(engine, boxes), root_name=3)
-        assert [k for k, _ in out.collect()] == [3] * 9
+        tree_ds = build_distributed_tree(boxes, engine, 0)
+        root_name = tree_root_name(tree_ds)
+        out = init_queries(search_dataset(engine, boxes), root_name)
+        # one block per query partition, every block and query at the root
+        assert [key for key, _ in out.collect()] == [root_name] * engine.config.workers
+        assert flat(expand(out, tree_ds)) == [(root_name, (b.name, b)) for b in boxes]
 
     def test_empty_tree_with_queries_rejected(self, engine):
         with pytest.raises(ValueError):
@@ -125,7 +233,7 @@ class TestSearchIteration:
         queries = init_queries(search_dataset(engine, [query]), root_name)
         intersections, next_queries = search_iteration(queries, tree_ds)
         assert intersections.collect() == []  # self intersection dropped
-        assert sorted(k for k, _ in next_queries.collect()) == sorted(
+        assert sorted(k for k, _ in flat(expand(next_queries, tree_ds))) == sorted(
             [root_value.lt_name, root_value.gt_name]
         )
 
@@ -145,13 +253,14 @@ class TestSearchIteration:
             ):
                 if child is not None and boxes_intersect(b, region):
                     expected.append((child, (b.name, b)))
-        got = next_queries.collect()
+        got = flat(expand(next_queries, tree_ds))
         assert sorted(got) == sorted(expected)
 
 
 def reference_pass(query_ds, tree_ds):
-    """Reference pass: materialize every visit with a plain join, then walk
-    the visits once for pairs and once for next-pass queries."""
+    """Reference pass over the tuple form of the frontier, (node name,
+    (query name, query box)): materialize every visit with a plain join,
+    then walk the visits once for pairs and once for next-pass queries."""
     visit = query_ds.join(tree_ds)
 
     def intersections(element):
@@ -173,19 +282,27 @@ def reference_pass(query_ds, tree_ds):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_search_iteration_equals_join_then_two_flat_maps(workers):
+def test_search_iteration_equals_join_then_two_flat_maps(workers, monkeypatch):
     boxes = random_boxes(300, seed=23, max_side=120.0)
     with Engine(EngineConfig(workers=workers)) as eng:
         tree_ds = build_distributed_tree(boxes, eng, 2)
-        queries = init_queries(search_dataset(eng, boxes), tree_root_name(tree_ds))
-        passes = 0
-        while not queries.is_empty():
-            expected_pairs, expected_next = reference_pass(queries, tree_ds)
-            pairs, queries = search_iteration(queries, tree_ds)
-            assert pairs.partitions == expected_pairs.partitions
-            assert queries.partitions == expected_next.partitions
-            passes += 1
-        assert passes > 2
+        root_name = tree_root_name(tree_ds)
+        search_ds = search_dataset(eng, boxes)
+        # whole blocks in one slice, then slices that split every block
+        for slice_size in (distributed_search._SLICE, 7):
+            monkeypatch.setattr(distributed_search, "_SLICE", slice_size)
+            queries = init_queries(search_ds, root_name)
+            reference = search_ds.map(lambda item: (root_name, item))
+            passes = 0
+            while not reference.is_empty():
+                expected_pairs, reference = reference_pass(reference, tree_ds)
+                pairs, queries = search_iteration(queries, tree_ds)
+                assert expand(pairs, tree_ds) == [list(p) for p in expected_pairs.partitions]
+                assert expand(queries, tree_ds) == [list(p) for p in reference.partitions]
+                assert all(key == root_name for key, _ in queries.collect())
+                passes += 1
+            assert queries.is_empty()
+            assert passes > 2
 
 
 class TestRunSearch:
@@ -251,7 +368,7 @@ class TestRunSearch:
 
 class TestIterationBehaviour:
     def drive(self, engine, boxes, cutoff=2):
-        """Run the search loop by hand, returning per-pass datasets."""
+        """Run the search loop by hand, returning the tree and per-pass datasets."""
         tree_ds = build_distributed_tree(boxes, engine, cutoff)
         queries = init_queries(
             search_dataset(engine, boxes), tree_root_name(tree_ds)
@@ -260,19 +377,21 @@ class TestIterationBehaviour:
         while not queries.is_empty():
             intersections, queries = search_iteration(queries, tree_ds)
             passes.append((intersections, queries))
-        return passes
+        return tree_ds, passes
 
     def test_iteration_count_bounded_by_levels(self, engine):
         for n, seed in ((1, 0), (2, 1), (33, 2), (128, 3), (500, 4)):
             boxes = random_boxes(n, seed=seed)
             levels = tree_depth(build_memory_tree(*presort(boxes)))
-            assert len(self.drive(engine, boxes)) <= levels
+            assert len(self.drive(engine, boxes)[1]) <= levels
 
     def test_no_pair_reported_twice(self, engine):
         boxes = random_boxes(200, seed=5, max_side=150.0)
+        tree_ds, passes = self.drive(engine, boxes)
         seen = []
-        for intersections, _ in self.drive(engine, boxes):
-            seen.extend(intersections.collect())
+        for intersections, _ in passes:
+            seen.extend(flat(expand(intersections, tree_ds)))
+        assert seen
         assert len(seen) == len(set(seen))
 
     def test_tree_collected_a_fixed_number_of_times(self, engine, monkeypatch):

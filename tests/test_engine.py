@@ -244,6 +244,27 @@ class TestFusedJoin:
         assert left.join(right).collect() == [(1, ("a", 10)), (2, ("b", 20))]
 
 
+class TestCached:
+    def test_derives_once_per_dataset_and_keeps_no_failure(self, engine):
+        ds = engine.from_items([1, 2, 3])
+        calls = []
+
+        def total(d):
+            calls.append(d)
+            if len(calls) == 1:
+                raise ValueError("refused")
+            return sum(d.collect())
+
+        with pytest.raises(ValueError):
+            ds.cached("total", total)
+        assert ds.cached("total", total) == 6
+        assert ds.cached("total", total) == 6
+        assert calls == [ds, ds]
+        # a dataset with the same partitions is a new object, with its own cache
+        assert PartitionedDataset(engine, ds.partitions).cached("total", total) == 6
+        assert len(calls) == 3
+
+
 class TestUnion:
     def test_concatenates(self, engine):
         a = engine.from_items([1, 2])
