@@ -68,8 +68,9 @@ def _timer(phase: str, engine: Engine, boxes, cutoff: int) -> Callable[[], float
     search_ds = engine.from_items([(b.name, b) for b in boxes])
 
     def once() -> float:
-        # the same entries without the key index an earlier search cached
-        # on them, so each timed search pays the tree hash as a CLI search does
+        # the same entries without the columns an earlier search kept on
+        # them, so each timed search pays the tree check and conversion as
+        # a CLI search does
         fresh_tree = PartitionedDataset(engine, tree_ds.partitions)
         t0 = perf_counter()
         run_search(search_ds, fresh_tree)

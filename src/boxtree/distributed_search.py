@@ -56,11 +56,11 @@ _SLICE = 8192
 class _Tree(NamedTuple):
     """A checked tree as columns over node positions (root at 0)."""
 
-    position: dict  # node name -> position
     rects: np.ndarray  # (4, 3, n): per coordinate, of the box, lt region and gt
     # region (NaN where there is no child), so a pass gathers contiguous rows
     children: np.ndarray  # (n, 2): lt and gt positions, -1 where no child
     rank: np.ndarray  # position -> rank of the node's name in ascending order
+    by_rank: np.ndarray  # rank -> position
     names_by_rank: np.ndarray  # the node names ascending, as Python objects
 
 
@@ -87,7 +87,8 @@ class _Queries:
         """
         own = self._own
         if own is None or own[0] is not tree:
-            get = tree.position.get
+            # a dict for this search only: the tree keeps none, to save memory
+            get = dict(zip(tree.names_by_rank.tolist(), tree.by_rank.tolist())).get
             nodes = np.array([get(name, -1) for name in self.names], dtype=np.intp)
             own = self._own = (tree, nodes[self.ids])
         return own[1]
@@ -187,9 +188,10 @@ def _to_columns(tree_ds: PairDataset) -> PairDataset:
     rects[:, :, [0, root]] = rects[:, :, [root, 0]]
     position[names[0]], position[names[root]] = root, 0
     names_by_rank = sorted(names)
+    by_rank = np.fromiter(map(position.__getitem__, names_by_rank), np.intp, n)
     rank = np.empty(n, dtype=np.intp)
-    rank[np.fromiter(map(position.__getitem__, names_by_rank), np.intp, n)] = np.arange(n)
-    tree = _Tree(position, rects, children, rank, np.array(names_by_rank, dtype=object))
+    rank[by_rank] = np.arange(n)
+    tree = _Tree(rects, children, rank, by_rank, np.array(names_by_rank, dtype=object))
     return tree_ds.engine.from_items([(names[root], tree)], 1)
 
 
