@@ -24,7 +24,6 @@ from .memory_tree import (
     TreeNodeValue,
     build_memory_tree,
     presort,
-    sweep_and_partition,
     tree_depth,
 )
 from .engine import Engine, EngineConfig, PairDataset, PartitionedDataset

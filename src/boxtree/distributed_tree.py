@@ -9,7 +9,10 @@ current datasets are collected to arrays, and the subtrees below are
 built by the memory-resident algorithm, which is several orders of
 magnitude faster per element, as one ``flat_map`` over a dataset of
 subtree jobs on the engine's workers. At cutoff 0 nothing is subdivided,
-so there is no four-way presort: the whole tree is one job.
+so there is no four-way presort and no job: the caller's thread presorts
+the boxes in memory and builds the whole tree (on a worker thread, the
+allocator would keep the build's numpy temporaries in that thread's
+arena and raise the peak memory).
 """
 
 from __future__ import annotations
@@ -88,21 +91,21 @@ def build_distributed_tree(
     collected to arrays, and every such branch becomes one subtree job
     that the engine builds in memory. The default of 0 subdivides nothing:
     the boxes are presorted in memory, with no four-way presort, and built
-    as one job. The entry set is identical for every cutoff and worker
-    count, and equals ``build_memory_tree``'s.
+    in the calling thread, not on the engine. The entry set is identical
+    for every cutoff and worker count, and equals ``build_memory_tree``'s.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff depth must be >= 0, got {cutoff}")
     boxes = list(boxes)
     if not boxes:
         return engine.from_items([])
+    if cutoff == 0:
+        # nothing is subdivided on the engine: sort only what the memory build
+        # reads, and build in this thread, whose heap the build's arrays reuse
+        return engine.from_items(build_memory_tree(*presort(boxes)))
     entries: List[TreeGraphEntry] = []
     jobs: List[_SubtreeJob] = []
-    if cutoff == 0:
-        # nothing is subdivided on the engine: sort only what the memory build reads
-        jobs.append((*presort(boxes), 0))
-    else:
-        _build(four_way_presort(engine, boxes), len(boxes), 0, cutoff, entries, jobs)
+    _build(four_way_presort(engine, boxes), len(boxes), 0, cutoff, entries, jobs)
     subtrees = engine.from_items(jobs).flat_map(lambda job: build_memory_tree(*job))
     return engine.from_items(entries + subtrees.collect())
 

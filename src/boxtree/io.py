@@ -2,16 +2,19 @@
 
 Floats are written with repr-style shortest round-trip formatting, so a
 write/read cycle reproduces every value bit-exactly and generation is
-byte-deterministic. Readers check each line's syntax and names, each
-box and that no name repeats in box CSVs, and each record's values in
-bench CSVs; whether a tree file's entries form one searchable tree is
-checked by the search itself (``distributed_search.tree_root_name``).
+byte-deterministic. Every file is written in one pass, one f-string per
+line; tree-file lines are JSON, with the bytes ``json.dumps`` would
+write. Readers check each line's syntax and names, each box and that no
+name repeats in box CSVs, and each record's values in bench CSVs;
+whether a tree file's entries form one searchable tree is checked by the
+search itself (``distributed_search.tree_root_name``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .geometry import Box, Region, validate_box
@@ -86,23 +89,35 @@ def read_boxes_csv(path: str) -> List[Box]:
     return _read_rows(path, BOX_CSV_HEADER, 5, parse)
 
 
-def _child_obj(name, region):
+def _child_json(name, region) -> str:
     if name is None:
-        return None
-    return {"name": name, "region": list(region)}
+        return "null"
+    return f'{{"name":{name!r},"region":[{region[0]!r},{region[1]!r},{region[2]!r},{region[3]!r}]}}'
+
+
+def _tree_line(entry: TreeGraphEntry) -> str:
+    name, v = entry
+    b = v.box
+    line = (
+        f'{{"name":{name!r},"box":[{b[1]!r},{b[2]!r},{b[3]!r},{b[4]!r}],'
+        f'"lt":{_child_json(v.lt_name, v.lt_region)},'
+        f'"gt":{_child_json(v.gt_name, v.gt_region)}}}\n'
+    )
+    # repr writes the non-finite floats as nan, inf and -inf, where JSON
+    # writes NaN, Infinity and -Infinity; no key and no finite number
+    # contains either spelling
+    return line.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def write_tree_jsonl(path: str, entries: Iterable[TreeGraphEntry]) -> None:
-    """One JSON object per tree node, lines sorted by node name."""
+    """One JSON object per tree node, lines sorted by node name.
+
+    Each line is formatted once, with ``repr`` for the names and the int
+    or float coordinates, and the lines are streamed to the file; the
+    bytes are those of ``json.dumps`` with ``separators=(",", ":")``.
+    """
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for name, value in sorted(entries, key=lambda e: e[0]):
-            obj = {
-                "name": name,
-                "box": [value.box.x_min, value.box.y_min, value.box.x_max, value.box.y_max],
-                "lt": _child_obj(value.lt_name, value.lt_region),
-                "gt": _child_obj(value.gt_name, value.gt_region),
-            }
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        fh.writelines(map(_tree_line, sorted(entries, key=itemgetter(0))))
 
 
 def _node_name(value) -> int:
@@ -112,11 +127,14 @@ def _node_name(value) -> int:
     return value
 
 
-def _four_numbers(value) -> Iterable[float]:
+def _four_numbers(value) -> List[float]:
     # float() would also take "0022", "6.0" or true: only JSON numbers may pass
     if type(value) is not list or len(value) != 4 or not _NUMBER.issuperset(map(type, value)):
         raise ValueError(f"expected a list of four numbers, got {json.dumps(value)}")
-    return map(float, value)
+    try:
+        return [float(v) for v in value]
+    except OverflowError:
+        raise ValueError("a coordinate is an integer beyond the range of a float") from None
 
 
 def _child_fields(obj) -> Tuple:

@@ -1,33 +1,33 @@
 """Memory-resident balanced k-d tree build, by presorting.
 
-The tree is built from two arrays presorted by the x_min and y_min super
-keys. At each level the array sorted by the split axis is partitioned
-trivially at its median element, and the other array is swept once and
-partitioned around the same pivot, which preserves both sort orders all
-the way down and gives an O(n log n) build without median finding.
-The build emits the program's one tree representation: (name,
-TreeNodeValue) entries that name each node's children and their regions.
+The boxes are presorted once by the x_min and y_min super keys
+(coordinate, then name). The build then follows Brown's presort
+algorithm on numpy index arrays, one tree level at a time: a box's index
+is its position in the x_min order, and both orders hold the level's
+segments, one per node, with the same bounds. Each segment's median in
+the split order is its node's box; the other order is partitioned
+stably around it by rank, which preserves both sort orders all the way
+down and gives an O(n log n) build without median finding. The regions
+are then merged bottom-up, one vectorized pass per level, carrying the
+index of the box that holds each extreme, so a region holds the boxes'
+own coordinate objects. The build emits the program's one tree
+representation: (name, TreeNodeValue) entries in pre-order that name
+each node's children and their regions.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .geometry import (
-    AXIS_XMIN,
-    Box,
-    Region,
-    SuperKey,
-    ensure_unique_names,
-    merge_region,
-    superkey,
-)
+import numpy as np
+
+from .geometry import AXIS_XMIN, AXIS_YMIN, Box, Region, ensure_unique_names
 
 __all__ = [
     "TreeNodeValue",
     "TreeGraphEntry",
     "presort",
-    "sweep_and_partition",
     "build_memory_tree",
     "tree_depth",
 ]
@@ -65,29 +65,6 @@ def presort(boxes: Sequence[Box]) -> Tuple[List[Box], List[Box]]:
     return x_sorted, y_sorted
 
 
-def sweep_and_partition(
-    arr: Sequence[Box], pivot: SuperKey, pivot_axis: int
-) -> Tuple[List[Box], List[Box]]:
-    """Stable one-pass split of ``arr`` around ``pivot`` in ``pivot_axis``.
-
-    ``arr`` is swept from lowest to highest address; elements whose
-    ``pivot_axis`` super key is below the pivot go to the first output,
-    above to the second, and the single equal element (the pivot's own box)
-    is dropped. Relative order is preserved in both outputs, so an array
-    sorted in the other axis stays sorted.
-    """
-    coord = pivot_axis + 1
-    less: List[Box] = []
-    greater: List[Box] = []
-    for b in arr:
-        key = (b[coord], b[0])
-        if key < pivot:
-            less.append(b)
-        elif key > pivot:
-            greater.append(b)
-    return less, greater
-
-
 def build_memory_tree(
     x_sorted: Sequence[Box],
     y_sorted: Sequence[Box],
@@ -96,48 +73,120 @@ def build_memory_tree(
     """Build the balanced tree from the two presorted arrays.
 
     The split axis cycles x_min, y_min with depth (x_min at even depths).
-    The median of a length-n array is index n // 2.
+    The median of a length-n array is index n // 2. Coordinates are
+    compared as doubles when the regions are merged; every region holds
+    the boxes' own coordinate objects, as ``merge_region`` would.
 
     Returns the (name, TreeNodeValue) entries in pre-order, root first;
     an empty list for empty input.
     """
-    entries: List[TreeGraphEntry] = []
-    _build(x_sorted, y_sorted, depth, entries)
-    return entries
+    n = len(x_sorted)
+    if n == 0:
+        return []
+    # a box's index is its position in x_sorted, so the x order is 0..n-1
+    # and a box's x rank is its index
+    index = dict(zip(map(itemgetter(0), x_sorted), range(n)))
+    y_order = np.fromiter(map(index.__getitem__, map(itemgetter(0), y_sorted)), np.intp, n)
+    ranks = (np.arange(n), np.empty(n, np.intp))
+    ranks[AXIS_YMIN][y_order] = ranks[AXIS_XMIN]
+    node_box, links, levels = _subdivide(ranks, y_order, depth)
+
+    coords = [np.fromiter(map(itemgetter(k + 1), x_sorted), object, n) for k in range(4)]
+    extremes = _region_extremes(coords, node_box, links, levels)
+    regions = np.fromiter(
+        map(Region, *(c[e] for c, e in zip(coords, extremes))), object, n)
+    names = np.fromiter(map(itemgetter(0), x_sorted), object, n)[node_box]
+    boxes = np.fromiter(x_sorted, object, n)[node_box]
+    children = []
+    for link in links:
+        has = link >= 0
+        child_names, child_regions = np.full(n, None, object), np.full(n, None, object)
+        child_names[has] = names[link[has]]
+        child_regions[has] = regions[link[has]]
+        children += (child_names, child_regions)
+    return list(zip(names, map(TreeNodeValue, boxes, *children)))
 
 
-def _build(x_sorted, y_sorted, depth, entries) -> Tuple[Optional[int], Optional[Region]]:
-    """Append a subtree's entries; return its root's name and its region."""
-    if not x_sorted:
-        return None, None
-    axis = depth & 1
-    if axis == AXIS_XMIN:
-        split_arr, other_arr = x_sorted, y_sorted
-    else:
-        split_arr, other_arr = y_sorted, x_sorted
+def _subdivide(ranks, y_order, depth):
+    """The tree's shape, one level at a time, by pre-order position.
 
-    m = len(split_arr) // 2
-    median = split_arr[m]
-    pivot = superkey(median, axis)
-    other_less, other_greater = sweep_and_partition(other_arr, pivot, axis)
-    split_less, split_greater = split_arr[:m], split_arr[m + 1 :]
+    Both orders hold the level's segments one after another, one segment
+    per node of the level, with the same bounds in both. A segment's
+    median in the split order is its node's box; the other order is
+    partitioned stably around it, and the median is dropped from both,
+    which leaves the children's segments, lt before gt, sorted in both
+    orders. A node's lt
+    child is at pre-order position ``pre + 1``, its gt child after the lt
+    subtree.
 
-    if axis == AXIS_XMIN:
-        less_args = (split_less, other_less)
-        greater_args = (split_greater, other_greater)
-    else:
-        less_args = (other_less, split_less)
-        greater_args = (other_greater, split_greater)
+    Returns the box index of each node, the lt and gt positions of each
+    node (-1 where there is no child) and the positions of each level's
+    nodes, root level first.
+    """
+    n = y_order.size
+    node_box = np.empty(n, np.intp)
+    links = (np.full(n, -1, np.intp), np.full(n, -1, np.intp))
+    levels = []
+    orders = [ranks[AXIS_XMIN], y_order]
+    sizes, pre = np.array([n]), np.array([0])
+    while sizes.size:
+        axis = depth & 1
+        half = sizes // 2
+        medians = np.cumsum(sizes) - sizes + half
+        pivots = orders[axis][medians]
+        node_box[pre] = pivots
+        orders[axis] = np.delete(orders[axis], medians)
+        orders[1 - axis] = _partition_level(orders[1 - axis], ranks[axis], pivots, sizes)
+        lt_pre, gt_pre = pre + 1, pre + 1 + half
+        has_lt, has_gt = half > 0, sizes - half > 1
+        links[0][pre[has_lt]] = lt_pre[has_lt]
+        links[1][pre[has_gt]] = gt_pre[has_gt]
+        levels.append(pre)
+        sizes = np.column_stack((half, sizes - half - 1)).ravel()
+        pre = np.column_stack((lt_pre, gt_pre)).ravel()
+        nonempty = sizes > 0
+        sizes, pre = sizes[nonempty], pre[nonempty]
+        depth += 1
+    return node_box, links, levels
 
-    # the node takes its pre-order slot now and fills it once the children
-    # have returned their names and regions
-    slot = len(entries)
-    entries.append(None)
-    lt_name, lt_region = _build(*less_args, depth + 1, entries)
-    gt_name, gt_region = _build(*greater_args, depth + 1, entries)
-    entries[slot] = (median.name, TreeNodeValue(median, lt_name, lt_region, gt_name, gt_region))
-    children = [r for r in (lt_region, gt_region) if r is not None]
-    return median.name, merge_region(median, children)
+
+def _partition_level(order, rank, pivots, sizes):
+    """Every segment of ``order`` split stably around its pivot, the pivot dropped.
+
+    ``order`` holds consecutive segments of ``sizes`` box indices, and
+    segment s holds ``pivots[s]``. Per segment, the boxes ranked below the
+    pivot come first, then those ranked above, each in their order.
+    """
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    side = np.sign(rank[order] - rank[pivots][segment])
+    # a segment's pivot sorts between its two sides, at its median
+    moved = order[np.argsort(3 * segment + side, kind="stable")]
+    return np.delete(moved, np.cumsum(sizes) - sizes + sizes // 2)
+
+
+def _region_extremes(coords, node_box, links, levels):
+    """Per coordinate, the index of the box holding each subtree's extreme.
+
+    Merged bottom-up, one level at a time, as ``merge_region`` merges: a
+    node's own box, then its lt and its gt subtree, each replacing the
+    extreme found so far only when strictly beyond it.
+    """
+    n = node_box.size
+    # maxima negated, so every coordinate's extreme is its minimum
+    values = np.stack([c.astype(float) for c in coords])
+    values[2:] *= -1
+    extremes = np.empty((4, n), np.intp)
+    for pre in reversed(levels):
+        best = np.tile(node_box[pre], (4, 1))
+        for link in links:
+            child = link[pre]
+            has = child >= 0
+            found, candidate = best[:, has], extremes[:, child[has]]
+            beyond = (np.take_along_axis(values, candidate, 1)
+                      < np.take_along_axis(values, found, 1))
+            best[:, has] = np.where(beyond, candidate, found)
+        extremes[:, pre] = best
+    return extremes
 
 
 def tree_depth(entries: Sequence[TreeGraphEntry]) -> int:

@@ -55,6 +55,9 @@ BAD_TREES = {
     "bool-coordinate": [_node(0, (True, True, 2, 2))],
     "string-region": ['{"name":0,"box":[0,0,1,1],"lt":{"name":1,"region":"0011"},"gt":null}',
                       _node(1, UNIT)],
+    # JSON integers beyond the range of a float
+    "huge-int-coordinate": [_node(0, (0, 0, 10**400, 1))],
+    "huge-int-region": [_node(0, UNIT, lt=(1, (0, 0, 10**400, 1))), _node(1, UNIT)],
 }
 
 # The BAD_TREES cases refused when a line is parsed; only a tree file can
@@ -71,4 +74,6 @@ PARSE_ERRORS = {
     "string-coordinate",
     "bool-coordinate",
     "string-region",
+    "huge-int-coordinate",
+    "huge-int-region",
 }

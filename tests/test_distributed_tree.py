@@ -1,5 +1,6 @@
 import inspect
 import math
+import threading
 from functools import reduce
 
 import pytest
@@ -156,6 +157,22 @@ class TestBuild:
             # a cutoff that subdivides on the engine does presort, once
             assert set(build_distributed_tree(boxes, eng, 1).collect()) == memory_entries(boxes)
             assert calls == [300]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_cutoff_0_builds_in_the_calling_thread(self, monkeypatch, workers):
+        # a build on an engine thread leaves its numpy temporaries in that
+        # thread's malloc arena, which raises the peak memory
+        threads = []
+
+        def recording_build(*args):
+            threads.append(threading.current_thread())
+            return build_memory_tree(*args)
+
+        monkeypatch.setattr(distributed_tree, "build_memory_tree", recording_build)
+        boxes = random_boxes(300, seed=32)
+        with Engine(EngineConfig(workers=workers)) as eng:
+            assert set(build_distributed_tree(boxes, eng, 0).collect()) == memory_entries(boxes)
+        assert threads == [threading.current_thread()]
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_engine_build_does_not_look_ahead(self, monkeypatch, workers):

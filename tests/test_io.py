@@ -1,10 +1,14 @@
+import json
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from boxtree import io
 from boxtree.bench import BenchRecord
 from boxtree.engine import Engine, EngineConfig
 from boxtree.geometry import Box, Region
 from boxtree.distributed_tree import build_distributed_tree
+from boxtree.memory_tree import TreeNodeValue
 from boxtree.testdata import SquareGridSpec, generate_test_data
 
 from conftest import BAD_TREES, PARSE_ERRORS, random_boxes
@@ -56,6 +60,35 @@ class TestBoxCsv:
             io.read_boxes_csv(path)
 
 
+def json_dumps_tree(entries) -> bytes:
+    """The tree file as json.dumps writes it, one object per node by name."""
+
+    def child(name, region):
+        return None if name is None else {"name": name, "region": list(region)}
+
+    lines = []
+    for name, v in sorted(entries, key=lambda e: e[0]):
+        obj = {"name": name, "box": list(v.box[1:]),
+               "lt": child(v.lt_name, v.lt_region), "gt": child(v.gt_name, v.gt_region)}
+        lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
+    return "".join(lines).encode("ascii")
+
+
+def _child(link):
+    return (None, None) if link is None else (link[0], Region(*link[1]))
+
+
+_numbers = st.one_of(
+    st.floats(),  # NaN and both infinities included
+    st.integers(),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 2**63, -(2**70)]),
+)
+_names = st.integers(min_value=0, max_value=2**70)
+_rects = st.tuples(_numbers, _numbers, _numbers, _numbers)
+_links = st.none() | st.tuples(_names, _rects)
+_nodes = st.tuples(_names, _rects, _links, _links)
+
+
 class TestTreeJsonl:
     def test_round_trip(self, tmp_path):
         boxes = random_boxes(40, seed=2)
@@ -81,6 +114,18 @@ class TestTreeJsonl:
         ((_, value),) = io.read_tree_jsonl(path)
         assert value.box == Box(0, 0.0, 0.0, 1.0, 1.0)
         assert value.lt_region == Region(2.0, 2.0, 3.0, 3.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(nodes=st.lists(_nodes, max_size=6, unique_by=lambda node: node[0]))
+    @example(nodes=[(2**64 + 1, (-0.0, 5e-324, 1e16, 1e22), (0, (1, -2, 2**70, 0.0)), None),
+                    (0, (float("nan"), float("inf"), -float("inf"), 3), None,
+                     (2**63, (-0.0, float("-inf"), 1e-7, float("nan"))))])
+    def test_bytes_equal_json_dumps(self, tmp_path_factory, nodes):
+        entries = [(name, TreeNodeValue(Box(name, *box), *_child(lt), *_child(gt)))
+                   for name, box, lt, gt in nodes]
+        path = tmp_path_factory.mktemp("tree") / "tree.jsonl"
+        io.write_tree_jsonl(path, entries)
+        assert path.read_bytes() == json_dumps_tree(entries)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "tree.jsonl"

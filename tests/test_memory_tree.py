@@ -3,15 +3,10 @@ import random
 
 import pytest
 
+from boxtree import memory_tree
 from boxtree.engine import Engine, EngineConfig
-from boxtree.geometry import AXIS_XMIN, Box, DuplicateNameError, Region, superkey
-from boxtree.memory_tree import (
-    TreeNodeValue,
-    build_memory_tree,
-    presort,
-    sweep_and_partition,
-    tree_depth,
-)
+from boxtree.geometry import AXIS_XMIN, Box, DuplicateNameError, Region, merge_region, superkey
+from boxtree.memory_tree import TreeNodeValue, build_memory_tree, presort, tree_depth
 
 from conftest import random_boxes
 
@@ -54,33 +49,105 @@ class TestPresort:
             presort([Box(1, 0, 0, 1, 1), Box(1, 2, 2, 3, 3)])
 
 
-class TestSweepAndPartition:
-    def test_one_element_per_side(self):
-        a = Box(0, 5.0, 0.0, 6, 1)
-        b = Box(1, 1.0, 2.0, 2, 3)
-        c = Box(2, 9.0, 4.0, 10, 5)
-        arr = sorted([a, b, c], key=lambda x: (x.y_min, x.name))  # y-sorted
-        less, greater = sweep_and_partition(arr, superkey(a, AXIS_XMIN), AXIS_XMIN)
-        assert [x.name for x in less] == [1]
-        assert [x.name for x in greater] == [2]
+def sweep_and_partition(arr, pivot, pivot_axis):
+    """Stable one-pass split of ``arr`` around the ``pivot`` super key.
 
-    def test_pivot_only_gives_empty_sides(self):
-        a = Box(0, 5.0, 0.0, 6, 1)
-        assert sweep_and_partition([a], superkey(a, AXIS_XMIN), AXIS_XMIN) == ([], [])
+    Boxes below the pivot go to the first output, above it to the second,
+    and the pivot's own box is dropped; both keep their order in ``arr``.
+    """
+    coord = pivot_axis + 1
+    less, greater = [], []
+    for b in arr:
+        key = (b[coord], b[0])
+        if key < pivot:
+            less.append(b)
+        elif key > pivot:
+            greater.append(b)
+    return less, greater
 
-    def test_matches_filter_oracle_and_stability(self):
-        boxes = random_boxes(20, seed=7)
-        _, y_sorted = presort(boxes)
-        pivot_box = boxes[11]
-        pivot = superkey(pivot_box, AXIS_XMIN)
-        less, greater = sweep_and_partition(y_sorted, pivot, AXIS_XMIN)
-        assert less == [b for b in y_sorted if superkey(b, AXIS_XMIN) < pivot]
-        assert greater == [b for b in y_sorted if superkey(b, AXIS_XMIN) > pivot]
-        # outputs are subsequences of the input
-        positions = {id(b): i for i, b in enumerate(y_sorted)}
-        for part in (less, greater):
-            idx = [positions[id(b)] for b in part]
-            assert idx == sorted(idx)
+
+def reference_build(x_sorted, y_sorted, depth=0):
+    """The memory build one node at a time, as a recursion over Box lists.
+
+    The median of the split order is the node; the other order is swept
+    around it. Each node fills its pre-order slot once its children have
+    returned their names and regions, merged by ``merge_region``.
+    """
+    entries = []
+
+    def build(x_sorted, y_sorted, depth):
+        if not x_sorted:
+            return None, None
+        axis = depth & 1
+        split_arr, other_arr = (x_sorted, y_sorted) if axis == AXIS_XMIN else (y_sorted, x_sorted)
+        m = len(split_arr) // 2
+        median = split_arr[m]
+        other_less, other_greater = sweep_and_partition(other_arr, superkey(median, axis), axis)
+        less, greater = (split_arr[:m], other_less), (split_arr[m + 1:], other_greater)
+        if axis != AXIS_XMIN:
+            less, greater = less[::-1], greater[::-1]
+        slot = len(entries)
+        entries.append(None)
+        lt_name, lt_region = build(*less, depth + 1)
+        gt_name, gt_region = build(*greater, depth + 1)
+        entries[slot] = (median.name, TreeNodeValue(median, lt_name, lt_region, gt_name, gt_region))
+        children = [r for r in (lt_region, gt_region) if r is not None]
+        return median.name, merge_region(median, children)
+
+    build(x_sorted, y_sorted, depth)
+    return entries
+
+
+def tied_boxes(n, seed):
+    """Boxes on a few coordinates, ints and both zeros among them."""
+    rng = random.Random(seed)
+    values = [0.0, -0.0, 0, 1, 1.0, 2.5]
+    out = []
+    for name in range(n):
+        x0, y0 = rng.choice(values), rng.choice(values)
+        out.append(Box(name, x0, y0, x0 + rng.choice(values), y0 + rng.choice(values)))
+    return out
+
+
+def int_boxes(n, seed):
+    rng = random.Random(seed)
+    out = []
+    for name in range(n):
+        x0, y0 = rng.randint(-5, 5), rng.randint(-5, 5)
+        out.append(Box(name, x0, y0, x0 + rng.randint(0, 3), y0 + rng.randint(0, 3)))
+    return out
+
+
+def big_name_boxes(n, seed):
+    # names from 2^63 up, interleaved with small ones, on tied coordinates
+    return [Box(2**63 + 3 * b.name if b.name % 2 else b.name, *b[1:])
+            for b in tied_boxes(n, seed)]
+
+
+class TestEqualsReferenceBuild:
+    # the array build returns the recursion's entries: the same list, order,
+    # box and region objects' values and types included (so -0.0 stays
+    # -0.0 and an int coordinate an int)
+    @pytest.mark.parametrize("make", [random_boxes, tied_boxes, int_boxes, big_name_boxes])
+    def test_same_entries_in_the_same_order(self, make):
+        for n in [*range(65), 2**10]:
+            x_sorted, y_sorted = presort(make(n, seed=n))
+            for depth in (0, 1):
+                got = build_memory_tree(x_sorted, y_sorted, depth)
+                want = reference_build(x_sorted, y_sorted, depth)
+                assert got == want, f"n={n} depth={depth}"
+                assert repr(got) == repr(want), f"n={n} depth={depth}"
+
+    def test_region_keeps_the_first_of_equal_extremes(self):
+        # merge_region replaces an extreme only when strictly beyond it: node
+        # 1's x_min 0.0 stays ahead of its children's equal -0.0
+        boxes = [Box(0, -0.0, 0.0, 1.0, 1.0), Box(1, 0.0, 1.0, 1.0, 2.0), Box(2, -0.0, 2.0, 1.0, 3.0),
+                 Box(3, 5.0, 0.0, 6.0, 1.0), Box(4, 6.0, 0.0, 7.0, 1.0), Box(5, 7.0, 0.0, 8.0, 1.0)]
+        entries = build(boxes)
+        root = entries[0][1]
+        assert (entries[0][0], root.lt_name) == (3, 1)
+        assert math.copysign(1.0, root.lt_region.x_min) == 1.0
+        assert repr(entries) == repr(reference_build(*presort(boxes)))
 
 
 class TestBuild:
@@ -211,3 +278,26 @@ def test_build_comparison_growth_is_nlogn_like():
         counts[n] = CountingFloat.comparisons
     assert counts[2**11] / counts[2**10] < 2.4
     assert counts[2**12] / counts[2**11] < 2.4
+
+
+def test_array_build_work_is_nlogn(monkeypatch):
+    # CountingFloat above sees only presort's comparisons: the array build
+    # compares float64 copies. Its work is the boxes each level partitions:
+    # at most n per level, over at most floor(log2 n) + 1 levels
+    handled = []
+    partition = memory_tree._partition_level
+
+    def counting(order, *args):
+        handled.append(order.size)
+        return partition(order, *args)
+
+    monkeypatch.setattr(memory_tree, "_partition_level", counting)
+    work = {}
+    for exp in (10, 11, 12):
+        n = 2**exp
+        handled.clear()
+        build(random_boxes(n, seed=exp))
+        work[n] = sum(handled)
+        assert n <= work[n] <= n * (exp + 1)
+    assert work[2**11] / work[2**10] < 2.4
+    assert work[2**12] / work[2**11] < 2.4
