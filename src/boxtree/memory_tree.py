@@ -73,9 +73,9 @@ def build_memory_tree(
     """Build the balanced tree from the two presorted arrays.
 
     The split axis cycles x_min, y_min with depth (x_min at even depths).
-    The median of a length-n array is index n // 2. Coordinates are
-    compared as doubles when the regions are merged; every region holds
-    the boxes' own coordinate objects, as ``merge_region`` would.
+    The median of a length-n array is index n // 2. Every region holds
+    the boxes' own coordinate objects, compared and chosen as
+    ``merge_region`` would.
 
     Returns the (name, TreeNodeValue) entries in pre-order, root first;
     an empty list for empty input.
@@ -172,9 +172,11 @@ def _region_extremes(coords, node_box, links, levels):
     extreme found so far only when strictly beyond it.
     """
     n = node_box.size
-    # maxima negated, so every coordinate's extreme is its minimum
-    values = np.stack([c.astype(float) for c in coords])
-    values[2:] *= -1
+    # the coordinate objects themselves, compared as Python compares them
+    # (a double would round an int beyond 2^53); maxima negated, so every
+    # coordinate's extreme is its minimum
+    values = np.stack(coords)
+    values[2:] = -values[2:]
     extremes = np.empty((4, n), np.intp)
     for pre in reversed(levels):
         best = np.tile(node_box[pre], (4, 1))

@@ -118,6 +118,11 @@ def int_boxes(n, seed):
     return out
 
 
+def beyond_double_boxes(n, seed):
+    # ints from 2^53 up, which a double would round to equal values
+    return [Box(b.name, *(2**53 + c for c in b[1:])) for b in int_boxes(n, seed)]
+
+
 def big_name_boxes(n, seed):
     # names from 2^63 up, interleaved with small ones, on tied coordinates
     return [Box(2**63 + 3 * b.name if b.name % 2 else b.name, *b[1:])
@@ -128,7 +133,8 @@ class TestEqualsReferenceBuild:
     # the array build returns the recursion's entries: the same list, order,
     # box and region objects' values and types included (so -0.0 stays
     # -0.0 and an int coordinate an int)
-    @pytest.mark.parametrize("make", [random_boxes, tied_boxes, int_boxes, big_name_boxes])
+    @pytest.mark.parametrize(
+        "make", [random_boxes, tied_boxes, int_boxes, beyond_double_boxes, big_name_boxes])
     def test_same_entries_in_the_same_order(self, make):
         for n in [*range(65), 2**10]:
             x_sorted, y_sorted = presort(make(n, seed=n))
