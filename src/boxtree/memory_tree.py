@@ -83,28 +83,28 @@ def build_memory_tree(
     n = len(x_sorted)
     if n == 0:
         return []
-    # a box's index is its position in x_sorted, so the x order is 0..n-1
-    # and a box's x rank is its index
+    ranks, y_order = _ranks(x_sorted, y_sorted)
+    node_box, links, levels = _subdivide(ranks, y_order, depth)
+    # each ends in a None, which a link of -1 picks
+    regions = np.append(_subtree_regions(x_sorted, node_box, links, levels), None)
+    names = np.append(np.fromiter(map(itemgetter(0), x_sorted), object, n)[node_box], None)
+    boxes = np.fromiter(x_sorted, object, n)[node_box]
+    children = [column[link] for link in links for column in (names, regions)]
+    return list(zip(names[:n], map(TreeNodeValue, boxes, *children)))
+
+
+def _ranks(x_sorted, y_sorted):
+    """Each box's rank in the x and in the y order, and the y order.
+
+    A box's index is its position in ``x_sorted``, so the x order is
+    0..n-1 and a box's x rank is its index.
+    """
+    n = len(x_sorted)
     index = dict(zip(map(itemgetter(0), x_sorted), range(n)))
     y_order = np.fromiter(map(index.__getitem__, map(itemgetter(0), y_sorted)), np.intp, n)
     ranks = (np.arange(n), np.empty(n, np.intp))
     ranks[AXIS_YMIN][y_order] = ranks[AXIS_XMIN]
-    node_box, links, levels = _subdivide(ranks, y_order, depth)
-
-    coords = [np.fromiter(map(itemgetter(k + 1), x_sorted), object, n) for k in range(4)]
-    extremes = _region_extremes(coords, node_box, links, levels)
-    regions = np.fromiter(
-        map(Region, *(c[e] for c, e in zip(coords, extremes))), object, n)
-    names = np.fromiter(map(itemgetter(0), x_sorted), object, n)[node_box]
-    boxes = np.fromiter(x_sorted, object, n)[node_box]
-    children = []
-    for link in links:
-        has = link >= 0
-        child_names, child_regions = np.full(n, None, object), np.full(n, None, object)
-        child_names[has] = names[link[has]]
-        child_regions[has] = regions[link[has]]
-        children += (child_names, child_regions)
-    return list(zip(names, map(TreeNodeValue, boxes, *children)))
+    return ranks, y_order
 
 
 def _subdivide(ranks, y_order, depth):
@@ -164,19 +164,19 @@ def _partition_level(order, rank, pivots, sizes):
     return np.delete(moved, np.cumsum(sizes) - sizes + sizes // 2)
 
 
-def _region_extremes(coords, node_box, links, levels):
-    """Per coordinate, the index of the box holding each subtree's extreme.
+def _subtree_regions(x_sorted, node_box, links, levels):
+    """Each node's subtree region, by pre-order position.
 
     Merged bottom-up, one level at a time, as ``merge_region`` merges: a
-    node's own box, then its lt and its gt subtree, each replacing the
-    extreme found so far only when strictly beyond it.
+    node's own box, then its lt and its gt subtree, each replacing an
+    extreme found so far only when strictly beyond it. What is carried is
+    the index of the box holding each extreme, and the comparisons are
+    the coordinate objects' own (a double would round an int beyond
+    2^53), so a region holds the boxes' own coordinate objects.
     """
     n = node_box.size
-    # the coordinate objects themselves, compared as Python compares them
-    # (a double would round an int beyond 2^53); maxima negated, so every
-    # coordinate's extreme is its minimum
-    values = np.stack(coords)
-    values[2:] = -values[2:]
+    coords = np.stack([np.fromiter(map(itemgetter(k + 1), x_sorted), object, n)
+                       for k in range(4)])
     extremes = np.empty((4, n), np.intp)
     for pre in reversed(levels):
         best = np.tile(node_box[pre], (4, 1))
@@ -184,11 +184,12 @@ def _region_extremes(coords, node_box, links, levels):
             child = link[pre]
             has = child >= 0
             found, candidate = best[:, has], extremes[:, child[has]]
-            beyond = (np.take_along_axis(values, candidate, 1)
-                      < np.take_along_axis(values, found, 1))
+            now = np.take_along_axis(coords, found, 1)
+            new = np.take_along_axis(coords, candidate, 1)
+            beyond = np.vstack((new[:2] < now[:2], new[2:] > now[2:]))
             best[:, has] = np.where(beyond, candidate, found)
         extremes[:, pre] = best
-    return extremes
+    return np.fromiter(map(Region, *np.take_along_axis(coords, extremes, 1)), object, n)
 
 
 def tree_depth(entries: Sequence[TreeGraphEntry]) -> int:
