@@ -115,9 +115,8 @@ def _subdivide(ranks, y_order, depth):
     median in the split order is its node's box; the other order is
     partitioned stably around it, and the median is dropped from both,
     which leaves the children's segments, lt before gt, sorted in both
-    orders. A node's lt
-    child is at pre-order position ``pre + 1``, its gt child after the lt
-    subtree.
+    orders. A node's lt child is at pre-order position ``pre + 1``, its
+    gt child after the lt subtree.
 
     Returns the box index of each node, the lt and gt positions of each
     node (-1 where there is no child) and the positions of each level's
