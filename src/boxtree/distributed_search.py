@@ -2,30 +2,32 @@
 
 The search first finds the root with ``tree_root_name``, which is also
 the one place that checks the tree: a tree that is not one walkable tree
-(bad box, duplicate or missing node, several roots, a cycle, a region
-that misses its subtree) raises ValueError before any query runs,
-whether it was read from a file or built in-process.
+(bad or misnamed box, duplicate or missing node, a child name without a
+region or the reverse, several roots, a cycle, a region that misses its
+subtree) raises ValueError before any query runs, whether it was read
+from a file or built in-process.
 
 The check reads the entries once into columns: numpy arrays over node
-positions (entry order, with the root moved to position 0) of the boxes,
-the child regions and the child positions. It checks them with array
-passes: in-degrees by ``bincount``, reachability by a level walk down
-from the root, and each subtree's tight region bottom-up, one level at a
-time. The columns are kept on the tree dataset
+positions (name order, so a node's position is its name's rank) of the
+boxes, the child regions and the child positions. It checks them with
+array passes: in-degrees by ``bincount``, reachability by a level walk
+down from the root, and each subtree's tight region bottom-up, one level
+at a time. The columns are kept on the tree dataset
 (``PartitionedDataset.cached``) as a one-element dataset keyed by the
 root's name, so every later pass and search of the same dataset reuses
 them.
 
 The queries travel as frontier blocks, at first one per query partition:
 positions of live queries in the search's query arrays and of the nodes
-they visit next, every block keyed by the root's name. Each pass is one
-join of the frontier blocks to the column block (a broadcast join). Its
-visitor tests the visits with numpy gathers, one coordinate at a time,
-and emits blocks of (query, node) intersection pairs and next frontier
-blocks: for each visit, the lt child and then the gt child, where the
-query meets the child's region. No Python object is made per visit. The
-search terminates when no frontier blocks remain, after at most
-tree-depth passes, and the accumulated pairs are grouped per query.
+they visit next (none in the first blocks, which start at the root),
+every block keyed by the root's name. Each pass is one join of the
+frontier blocks to the column block (a broadcast join). Its visitor
+tests the visits with numpy gathers, one coordinate at a time, and emits
+blocks of (query, node) intersection pairs and next frontier blocks: for
+each visit, the lt child and then the gt child, where the query meets
+the child's region. No Python object is made per visit. The search
+terminates when no frontier blocks remain, after at most tree-depth
+passes, and the accumulated pairs are grouped per query.
 """
 
 from __future__ import annotations
@@ -54,56 +56,40 @@ _SLICE = 8192
 
 
 class _Tree(NamedTuple):
-    """A checked tree as columns over node positions (root at 0)."""
+    """A checked tree as columns over node positions, in name order."""
 
     rects: np.ndarray  # (4, 3, n): per coordinate, of the box, lt region and gt
     # region (NaN where there is no child), so a pass gathers contiguous rows
     children: np.ndarray  # (n, 2): lt and gt positions, -1 where no child
-    rank: np.ndarray  # position -> rank of the node's name in ascending order
-    by_rank: np.ndarray  # rank -> position
-    names_by_rank: np.ndarray  # the node names ascending, as Python objects
+    names: np.ndarray  # the node names ascending, as Python objects
+    root: int  # the root's position
 
 
 class _Queries:
     """One search's queries as arrays, shared by all of its blocks."""
 
-    __slots__ = ("names", "ids", "box", "_own")
+    __slots__ = ("names", "ids", "box")
 
     def __init__(self, items: Sequence[Tuple[int, tuple]]):
-        # the distinct names ascending, the result's row order, and the
-        # index of each query's name among them
-        names, self.ids = np.unique(np.array([name for name, _ in items], dtype=object),
-                                    return_inverse=True)
-        self.names = names.tolist()
+        # the distinct names ascending, as Python objects: the result's row
+        # order; and the index of each query's name among them
+        self.names, self.ids = np.unique(np.array([name for name, _ in items], dtype=object),
+                                         return_inverse=True)
         coordinates = chain.from_iterable(map(itemgetter(slice(1, None)), map(itemgetter(1), items)))
         self.box = np.fromiter(coordinates, float, 4 * len(items)).reshape(-1, 4).T.copy()  # (4, m)
-        self._own: Optional[Tuple[_Tree, np.ndarray]] = None
-
-    def own_nodes(self, tree: _Tree) -> np.ndarray:
-        """Per query, the position of the tree node with the query's name, or -1.
-
-        Kept for the last tree asked about; two threads racing here both
-        compute the same array.
-        """
-        own = self._own
-        if own is None or own[0] is not tree:
-            # a dict for this search only: the tree keeps none, to save memory
-            get = dict(zip(tree.names_by_rank.tolist(), tree.by_rank.tolist())).get
-            nodes = np.array([get(name, -1) for name in self.names], dtype=np.intp)
-            own = self._own = (tree, nodes[self.ids])
-        return own[1]
 
 
 class _Block(NamedTuple):
     """Visits: query ``query[i]`` at node ``node[i]`` (a tree position).
 
     A frontier block holds the visits of the next pass, a pair block the
-    visits that found an intersection.
+    visits that found an intersection. The first frontier blocks have no
+    node array: all of their queries are at the root.
     """
 
     queries: _Queries
     query: np.ndarray  # positions in the search's query arrays
-    node: np.ndarray
+    node: Optional[np.ndarray]
 
 
 def _columns(tree_ds: PairDataset) -> PairDataset:
@@ -112,12 +98,15 @@ def _columns(tree_ds: PairDataset) -> PairDataset:
 
 
 def _to_columns(tree_ds: PairDataset) -> PairDataset:
-    entries = tree_ds.collect()
+    entries = sorted(tree_ds.collect(), key=itemgetter(0))  # a tree file is sorted already
     if not entries:
         return tree_ds.engine.from_items([])
     names, values = zip(*entries)
     boxes, lt_names, lt_regions, gt_names, gt_regions = zip(*values)
     n = len(names)
+    if names != tuple(map(itemgetter(0), boxes)):
+        name, box = next((name, box) for name, box in zip(names, boxes) if name != box[0])
+        raise ValueError(f"tree entry {name} holds the box of node {box[0]}")
 
     rects = np.full((4, 3, n), np.nan)
     coordinates = chain.from_iterable(map(itemgetter(slice(1, None)), boxes))
@@ -133,8 +122,8 @@ def _to_columns(tree_ds: PairDataset) -> PairDataset:
         raise ValueError(f"duplicate tree node {duplicate}")
 
     children = np.stack(
-        (_links(lt_names, lt_regions, position, rects[:, 1]),
-         _links(gt_names, gt_regions, position, rects[:, 2])),
+        (_links(names, lt_names, lt_regions, position, rects[:, 1]),
+         _links(names, gt_names, gt_regions, position, rects[:, 2])),
         axis=1,
     )
     if (children == -2).any():
@@ -179,26 +168,17 @@ def _to_columns(tree_ds: PairDataset) -> PairDataset:
             tight[:2, parent] = np.minimum(tight[:2, parent], sub[:2])
             tight[2:, parent] = np.maximum(tight[2:, parent], sub[2:])
 
-    # the root trades places with the first entry, so that every search
-    # starts at position 0; the extra last slot maps -1, no node, to itself
-    root = int(roots[0])
-    renumber = np.arange(n + 1)
-    renumber[[0, root, n]] = root, 0, -1
-    children = renumber[children[renumber[:n]]]
-    rects[:, :, [0, root]] = rects[:, :, [root, 0]]
-    position[names[0]], position[names[root]] = root, 0
-    names_by_rank = sorted(names)
-    by_rank = np.fromiter(map(position.__getitem__, names_by_rank), np.intp, n)
-    rank = np.empty(n, dtype=np.intp)
-    rank[by_rank] = np.arange(n)
-    tree = _Tree(rects, children, rank, by_rank, np.array(names_by_rank, dtype=object))
-    return tree_ds.engine.from_items([(names[root], tree)], 1)
+    tree = _Tree(rects, children, np.array(names, dtype=object), int(roots[0]))
+    return tree_ds.engine.from_items([(names[tree.root], tree)], 1)
 
 
-def _links(child_names, regions, position, region_columns) -> np.ndarray:
+def _links(names, child_names, regions, position, region_columns) -> np.ndarray:
     """Child positions: -1 for no child, -2 for a name without an entry.
     Writes each child's region to its parent's column of ``region_columns``."""
     present = list(map(is_not, child_names, repeat(None)))
+    if present != list(map(is_not, regions, repeat(None))):
+        i = next(i for i, (c, r) in enumerate(zip(child_names, regions)) if (c is None) != (r is None))
+        raise ValueError(f"node {names[i]}: child {child_names[i]} has region {regions[i]}")
     has = np.array(present, dtype=bool)
     link = np.fromiter(map(position.get, child_names, repeat(-2)), np.intp, len(present))
     link[~has] = -1
@@ -211,8 +191,9 @@ def tree_root_name(tree_ds: PairDataset) -> Optional[int]:
     """Name of the tree's root; None if ``tree_ds`` is empty.
 
     Raises ValueError unless the entries form one tree a search can walk:
-    every box is valid and every name unique; every child name has an
-    entry; exactly one entry is no entry's child; the walk down from it
+    every box is valid and named by its entry's key, and every name is
+    unique; a child has a name exactly when it has a region, and every
+    child name has an entry; exactly one entry is no entry's child; the walk down from it
     reaches every entry exactly once; and every child region encloses the
     boxes of its subtree. The checked columns are kept on ``tree_ds``.
     """
@@ -222,7 +203,7 @@ def tree_root_name(tree_ds: PairDataset) -> Optional[int]:
 
 def init_queries(search_ds: PairDataset, root_name: Optional[int]) -> PairDataset:
     """Turn each partition of (name, box) queries into one frontier block
-    keyed by the root's name, every query at the root (position 0)."""
+    keyed by the root's name, with no node array: every query is at the root."""
     if search_ds.is_empty():
         return search_ds
     if root_name is None:
@@ -232,8 +213,7 @@ def init_queries(search_ds: PairDataset, root_name: Optional[int]) -> PairDatase
     start = 0
     for part in search_ds.partitions:
         end = start + len(part)
-        at_root = np.zeros(end - start, dtype=np.intp)
-        blocks.append(((root_name, _Block(queries, np.arange(start, end), at_root)),) if part else ())
+        blocks.append(((root_name, _Block(queries, np.arange(start, end), None)),) if part else ())
         start = end
     return PartitionedDataset(search_ds.engine, blocks)
 
@@ -262,11 +242,11 @@ def _visit_block(root_name: int, block: _Block, tree: _Tree) -> List[Tuple]:
     the frontier's size; each slice emits at most one block of each kind.
     """
     queries = block.queries
-    own_nodes = queries.own_nodes(tree)
+    nodes = np.full(len(block.query), tree.root) if block.node is None else block.node
     out = []
     for start in range(0, len(block.query), _SLICE):
         query = block.query[start : start + _SLICE]
-        node = block.node[start : start + _SLICE]
+        node = nodes[start : start + _SLICE]
         # rows: the node's box, its lt region, its gt region (NaN, met by
         # no query, where there is no child). Closed overlap: each min is
         # at most the other rectangle's max.
@@ -278,10 +258,10 @@ def _visit_block(root_name: int, block: _Block, tree: _Tree) -> List[Tuple]:
             else:
                 meets &= tree.rects[k - 2].take(node, axis=1) <= coordinate
         pair = meets[0]
-        own = np.flatnonzero(pair & (node == own_nodes[query]))
-        if len(own):
-            box = tree.rects[:, 0].take(node[own], axis=1)
-            pair[own[(box == queries.box[:, query[own]]).all(axis=0)]] = False
+        hit = np.flatnonzero(pair)
+        box = tree.rects[:, 0].take(node[hit], axis=1)
+        own = hit[(box == queries.box[:, query[hit]]).all(axis=0)]
+        pair[own[tree.names[node[own]] == queries.names[queries.ids[query[own]]]]] = False
         descend = meets[1:].T.ravel()  # per visit, lt then gt
         if pair.any():
             out.append((None, _Block(queries, query[pair], node[pair])))
@@ -327,17 +307,16 @@ def _group(blocks: List[_Block], tree_ds: PairDataset) -> List[Tuple[int, tuple]
         return []
     tree: _Tree = _columns(tree_ds).first()[1]
     queries = blocks[0].queries
-    n = len(tree.rank)
+    n = len(tree.names)
     ids = queries.ids[np.concatenate([b.query for b in blocks])]
-    ranks = tree.rank[np.concatenate([b.node for b in blocks])]
-    # one int64 key per pair, sorted and unique; ids * n stays below 2^63
-    # for any query and tree count that fits in memory
-    ids, ranks = np.divmod(np.unique(ids * n + ranks), n)
-    names = tree.names_by_rank[ranks].tolist()  # the entries' own name objects
+    nodes = np.concatenate([b.node for b in blocks])
+    # one int64 key per pair, sorted and unique, nodes in name order; ids *
+    # n stays below 2^63 for any query and tree count that fits in memory
+    ids, nodes = np.divmod(np.unique(ids * n + nodes), n)
+    names = tree.names[nodes].tolist()  # the entries' own name objects
     firsts = np.flatnonzero(np.diff(ids, prepend=-1))
     bounds = firsts.tolist() + [len(names)]
-    query_names = queries.names
     return [
-        (query_names[i], tuple(names[start:end]))
-        for i, start, end in zip(ids[firsts].tolist(), bounds, bounds[1:])
+        (query_name, tuple(names[start:end]))
+        for query_name, start, end in zip(queries.names[ids[firsts]].tolist(), bounds, bounds[1:])
     ]

@@ -104,6 +104,11 @@ class Engine:
         self.shutdown()
 
 
+def _pair(k, v, w) -> tuple:
+    """``join``'s default output for a match: the one element (k, (v, w))."""
+    return ((k, (v, w)),)
+
+
 class PartitionedDataset:
     """Immutable ordered collection of elements split into partitions."""
 
@@ -166,35 +171,28 @@ class PartitionedDataset:
     def join(
         self,
         other: "PartitionedDataset",
-        fn: Optional[Callable[[Any, Any, Any], Iterable[Any]]] = None,
+        fn: Callable[[Any, Any, Any], Iterable[Any]] = _pair,
     ) -> "PartitionedDataset":
-        """Inner join on keys: (k, v1) x (k, v2) -> (k, (v1, v2)).
+        """Inner join on keys: each match (k, v1) x (k, v2) is handed to
+        ``fn(k, v1, v2)`` and its outputs are emitted, by default the one
+        element (k, (v1, v2)).
 
         The right side is hashed on its first use as a right side and the
         index is kept on it, so later joins against the same dataset skip
         the hash. The left side is streamed in order, so output order is
         left-dataset order (with right-side multiplicity expanded in right
-        order). Keys missing on either side are dropped.
-
-        With ``fn``, each match (k, v1, v2) is handed to ``fn(k, v1, v2)``
-        instead, and its outputs are emitted in match order, in the same
-        per-partition pass: no (k, (v1, v2)) tuple is built.
+        order). Keys missing on either side are dropped. A fused ``fn``
+        runs in the same per-partition pass: no (k, (v1, v2)) tuple is built.
         """
         get = other.cached("join.key_index", _hash_by_key).get
-        if fn is None:
 
-            def work(part):
-                return tuple((k, (v, w)) for k, v in part for w in get(k, ()))
-
-        else:
-
-            def work(part):
-                out: list = []
-                emit = out.extend
-                for k, v in part:
-                    for w in get(k, ()):
-                        emit(fn(k, v, w))
-                return out
+        def work(part):
+            out: list = []
+            emit = out.extend
+            for k, v in part:
+                for w in get(k, ()):
+                    emit(fn(k, v, w))
+            return out
 
         return PartitionedDataset(self.engine, self.engine.per_partition(self.partitions, work))
 

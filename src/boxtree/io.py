@@ -48,9 +48,9 @@ def write_boxes_csv(path: str, boxes: Sequence[Box]) -> None:
 def _read_rows(path: str, header: str, nfields: int, parse: Callable[[List[str]], Any]) -> List:
     """``parse`` applied to each row's fields, after the header; blank lines skipped.
 
-    A wrong header is refused, and so is a row with the wrong field count
-    or one that ``parse`` refuses with ValueError, prefixed with
-    ``path:line``.
+    A wrong header is refused, and so is a row with the wrong field count,
+    a ``_`` in a field (``int`` and ``float`` read ``1_0`` as 10) or one
+    that ``parse`` refuses with ValueError, prefixed with ``path:line``.
     """
     rows = []
     with open(path, "r", encoding="ascii") as fh:
@@ -65,10 +65,20 @@ def _read_rows(path: str, header: str, nfields: int, parse: Callable[[List[str]]
             try:
                 if len(fields) != nfields:
                     raise ValueError(f"expected {nfields} fields, got {len(fields)}")
+                if "_" in line:
+                    raise ValueError("'_' in a field")
                 rows.append(parse(fields))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return rows
+
+
+def _name(field: str) -> int:
+    # int() would also take a sign and spaces; the file is ASCII, so
+    # isdigit() allows 0-9 only
+    if not field.isdigit():
+        raise ValueError(f"a name must be ASCII digits, got {field!r}")
+    return int(field)
 
 
 def read_boxes_csv(path: str) -> List[Box]:
@@ -76,9 +86,7 @@ def read_boxes_csv(path: str) -> List[Box]:
     seen = set()
 
     def parse(fields: List[str]) -> Box:
-        name = int(fields[0])
-        if name < 0:
-            raise ValueError("names must be non-negative")
+        name = _name(fields[0])
         if name in seen:
             raise ValueError(f"repeated box name {name}")
         seen.add(name)
@@ -180,7 +188,7 @@ def write_results_csv(path: str, grouped: Iterable[Tuple[int, Sequence[int]]]) -
 def read_results_csv(path: str) -> Dict[int, List[int]]:
     def parse(fields: List[str]) -> Tuple[int, List[int]]:
         query, matches = fields
-        return int(query), [int(m) for m in matches.split(";")] if matches else []
+        return _name(query), [_name(m) for m in matches.split(";")] if matches else []
 
     return dict(_read_rows(path, RESULTS_CSV_HEADER, 2, parse))
 

@@ -113,6 +113,12 @@ class TestBuildSearchPipeline:
         assert "queries.csv:3: repeated box name 5" in capsys.readouterr().err
         assert not results.exists()
 
+    def test_name_in_python_literal_syntax_exits_2(self, tmp_path, capsys):
+        boxes = tmp_path / "boxes.csv"
+        boxes.write_text(io.BOX_CSV_HEADER + "\n1_0,0,0,1_0.5,1\n")
+        assert run(["build", "--in", boxes, "--workers", 1, "--out", tmp_path / "t.jsonl"]) == 2
+        assert "boxes.csv:2: " in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, tmp_path):
         code = run(["build", "--in", tmp_path / "nope.csv", "--workers", 1,
                     "--out", tmp_path / "t.jsonl"])

@@ -48,14 +48,17 @@ def expand(blocks_ds, tree_ds):
     form, in order: a frontier block as (node name, (query name, query
     box)) tuples, a pair block as (query name, node name) tuples."""
     tree = distributed_search._columns(tree_ds).first()[1]
-    node_names = tree.names_by_rank[tree.rank].tolist()  # by position
+    node_names = tree.names.tolist()  # by position
     parts = []
     for part in blocks_ds.partitions:
         out = []
         for key, block in part:
             queries = block.queries
-            names = [queries.names[i] for i in queries.ids[block.query].tolist()]
-            nodes = [node_names[p] for p in block.node.tolist()]
+            names = queries.names[queries.ids[block.query]].tolist()
+            if block.node is None:  # a first frontier block: every query at the root
+                nodes = [node_names[tree.root]] * len(names)
+            else:
+                nodes = [node_names[p] for p in block.node.tolist()]
             if key is None:
                 out.extend(zip(names, nodes))
             else:
@@ -180,6 +183,29 @@ def test_in_process_bad_tree_is_refused(engine, case):
     tree_ds = engine.from_items(tree_entries(BAD_TREES[case]))
     # overlaps every region of the bad trees, so a search would descend into each defect
     query = Box(50, 0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        run_search(search_dataset(engine, [query]), tree_ds)
+
+
+def _unit_node(name, box_name=None, lt=(None, None)):
+    return (name, TreeNodeValue(Box(name if box_name is None else box_name, 0.0, 0.0, 1.0, 1.0),
+                                *lt, None, None))
+
+
+# In-process trees that break TreeNodeValue's invariants; no tree file can
+# hold them, since a file's child is a name and a region together and its
+# box has no name of its own.
+BAD_VALUES = {
+    "child-without-region": [_unit_node(0, lt=(1, None)), _unit_node(1)],
+    "region-without-child": [_unit_node(0, lt=(None, Region(0.0, 0.0, 1.0, 1.0)))],
+    "key-not-box-name": [_unit_node(0, box_name=7)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_in_process_bad_value_is_refused(engine, case):
+    tree_ds = engine.from_items(BAD_VALUES[case])
+    query = Box(7, 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         run_search(search_dataset(engine, [query]), tree_ds)
 

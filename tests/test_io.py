@@ -59,6 +59,20 @@ class TestBoxCsv:
         with pytest.raises(ValueError):
             io.read_boxes_csv(path)
 
+    # int() and float() take Python literal syntax: digit separators,
+    # signs and surrounding spaces; a name is ASCII digits only
+    @pytest.mark.parametrize("row", [
+        "1_0,0,0,1_0.5,1",
+        "1,0.0,0.0,1_0.5,1.0",
+        "+2,0.0,0.0,1.0,1.0",
+        "2 ,0.0,0.0,1.0,1.0",
+    ])
+    def test_rejects_python_literal_syntax(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{io.BOX_CSV_HEADER}\n0,0.0,0.0,1.0,1.0\n{row}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: "):
+            io.read_boxes_csv(path)
+
 
 def json_dumps_tree(entries) -> bytes:
     """The tree file as json.dumps writes it, one object per node by name."""
@@ -142,6 +156,13 @@ class TestResultsCsv:
         assert path.read_text().splitlines()[1:] == ["2,0", "5,1;2;9", "7,3"]
         assert io.read_results_csv(path) == {2: [0], 5: [1, 2, 9], 7: [3]}
 
+    @pytest.mark.parametrize("row", ["1_0,2_0;+3", "1,2;+3", "+1,2", "1,2_0", "1,2; 3"])
+    def test_rejects_python_literal_syntax(self, tmp_path, row):
+        path = tmp_path / "results.csv"
+        path.write_text(f"query,matches\n0,1\n{row}\n")
+        with pytest.raises(ValueError, match=r"results\.csv:3: "):
+            io.read_results_csv(path)
+
 
 class TestBenchCsv:
     def test_round_trip(self, tmp_path):
@@ -164,6 +185,8 @@ class TestBenchCsv:
         "build,256,4,0,inf",
         "build,256,4,0,-0.5",
         "build,256,4,0,fast",
+        "build,2_56,4,0,0.5",
+        "build,256,4,0,0_5",
     ])
     def test_rejects_bad_row(self, tmp_path, row):
         path = tmp_path / "bench.csv"

@@ -27,10 +27,12 @@ def rect(draw):
 
 @st.composite
 def search_case(draw):
-    """A tree of 1..64 boxes and up to 16 queries with distinct names.
+    """A tree of 1..64 boxes, up to 16 queries with distinct names and an
+    order of the n built entries.
 
     Query names below n reuse a tree name; a query's rectangle is either a
-    tree box's (so a query can equal a tree box) or a fresh one.
+    tree box's (so a query can equal a tree box) or a fresh one. The order
+    lays a built tree's entries out in neither pre-order nor name order.
     """
     n = draw(st.integers(1, 64))
     tree = [Box(i, *draw(rect())) for i in range(n)]
@@ -41,7 +43,7 @@ def search_case(draw):
             queries.append(Box(name, *draw(st.sampled_from(tree))[1:]))
         else:
             queries.append(Box(name, *draw(rect())))
-    return tree, queries
+    return tree, queries, draw(st.permutations(range(n)))
 
 
 def brute_force(tree, queries):
@@ -70,19 +72,22 @@ def engines():
 @given(case=search_case())
 # n = 1, queried by itself and by a disjoint box
 @example(case=([Box(0, 0.0, 0.0, 1.0, 1.0)],
-               [Box(0, 0.0, 0.0, 1.0, 1.0), Box(1, 5.0, 5.0, 6.0, 6.0)]))
+               [Box(0, 0.0, 0.0, 1.0, 1.0), Box(1, 5.0, 5.0, 6.0, 6.0)], [0]))
 # a query set disjoint from the tree
 @example(case=([Box(0, -BIG, -BIG, 0.0, 0.0), Box(1, 0.0, 0.0, 0.0, 0.0)],
-               [Box(2, BIG, BIG, BIG, BIG)]))
+               [Box(2, BIG, BIG, BIG, BIG)], [1, 0]))
 # a query that reuses a tree name with other coordinates
 @example(case=([Box(0, 0.0, 0.0, 10.0, 10.0), Box(1, 50.0, 50.0, 60.0, 60.0)],
-               [Box(0, 5.0, 5.0, 6.0, 6.0), Box(7, 5.0, 5.0, 6.0, 6.0)]))
+               [Box(0, 5.0, 5.0, 6.0, 6.0), Box(7, 5.0, 5.0, 6.0, 6.0)], [1, 0]))
 def test_every_search_path_matches_brute_force(engines, case):
-    tree, queries = case
+    tree, queries, order = case
     expected = brute_force(tree, queries)
     for engine in engines:
         search_ds = engine.from_items([(q.name, q) for q in queries])
         for cutoff in (0, 2, FULL_DEPTH):
-            tree_ds = build_distributed_tree(tree, engine, cutoff)
-            got = {k: list(v) for k, v in run_search(search_ds, tree_ds).collect()}
-            assert got == expected, (engine.config.workers, cutoff)
+            built = build_distributed_tree(tree, engine, cutoff)
+            entries = built.collect()
+            shuffled = engine.from_items([entries[i] for i in order])
+            for layout, tree_ds in (("built", built), ("shuffled", shuffled)):
+                got = {k: list(v) for k, v in run_search(search_ds, tree_ds).collect()}
+                assert got == expected, (engine.config.workers, cutoff, layout)
