@@ -193,9 +193,10 @@ def tree_root_name(tree_ds: PairDataset) -> Optional[int]:
     Raises ValueError unless the entries form one tree a search can walk:
     every box is valid and named by its entry's key, and every name is
     unique; a child has a name exactly when it has a region, and every
-    child name has an entry; exactly one entry is no entry's child; the walk down from it
-    reaches every entry exactly once; and every child region encloses the
-    boxes of its subtree. The checked columns are kept on ``tree_ds``.
+    child name has an entry; exactly one entry is no entry's child; the
+    walk down from it reaches every entry exactly once; and every child
+    region encloses the boxes of its subtree. The checked columns are kept
+    on ``tree_ds``.
     """
     columns = _columns(tree_ds)
     return None if columns.is_empty() else columns.first()[0]
