@@ -91,15 +91,25 @@ def fastest_per_point(records: List[BenchRecord], field: str) -> List[Tuple[int,
 def _n_sweep(
     phase: str, min_exp: int, max_exp: int, workers: int, repeats: int, cutoff: int = 0
 ) -> Tuple[List[BenchRecord], FitResult]:
-    """Time one phase for n = 2^min_exp .. 2^max_exp; fit n log n."""
+    """Time one phase for n = 2^min_exp .. 2^max_exp; fit n log n.
+
+    The repeats go round-robin over n, as in ``run_scaling_bench``, so a
+    stall of the machine hits one repeat of several sizes, which their
+    minima drop, rather than every repeat of one size. Each timed call
+    follows an untimed one at its size: after the other sizes' calls,
+    the first call at a size pays for cold caches and fresh pages, which
+    slowed the largest sizes most and bent the n log n fit.
+    """
     if min_exp > max_exp:
         raise ValueError("empty exponent range")
+    sizes = [2**exp for exp in range(min_exp, max_exp + 1)]
     records: List[BenchRecord] = []
-    for exp in range(min_exp, max_exp + 1):
-        n = 2**exp
-        with Engine(EngineConfig(workers)) as engine:
-            once = _timer(phase, engine, _bench_boxes(n), cutoff)
-            records.extend(BenchRecord(phase, n, workers, rep, once()) for rep in range(repeats))
+    with Engine(EngineConfig(workers)) as engine:
+        timers = [_timer(phase, engine, _bench_boxes(n), cutoff) for n in sizes]
+        for rep in range(repeats):
+            for n, once in zip(sizes, timers):
+                once()
+                records.append(BenchRecord(phase, n, workers, rep, once()))
     return records, fit_linear_nlogn(fastest_per_point(records, "n"))
 
 

@@ -18,7 +18,7 @@ from .bench import (
     run_scaling_bench,
     run_search_bench,
 )
-from .distributed_search import run_search
+from .distributed_search import file_tree, run_search
 from .distributed_tree import build_distributed_tree
 from .engine import Engine, EngineConfig
 from .fits import FitResult, fit_linear_nlogn, fit_scaling_model
@@ -106,10 +106,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    entries = io.read_tree_jsonl(args.tree)
+    columns = io.read_tree_jsonl(args.tree)
     queries = io.read_boxes_csv(args.queries)
     with Engine(EngineConfig(args.workers)) as engine:
-        tree_ds = engine.from_items(entries)
+        tree_ds = file_tree(engine, columns)
         search_ds = engine.from_items([(b.name, b) for b in queries])
         grouped = run_search(search_ds, tree_ds).collect()
     io.write_results_csv(args.out, grouped)

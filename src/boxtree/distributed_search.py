@@ -7,12 +7,18 @@ region or the reverse, several roots, a cycle, a region that misses its
 subtree) raises ValueError before any query runs, whether it was read
 from a file or built in-process.
 
-The check reads the entries once into columns: numpy arrays over node
-positions (name order, so a node's position is its name's rank) of the
-boxes, the child regions and the child positions. It checks them with
-array passes: in-degrees by ``bincount``, reachability by a level walk
-down from the root, and each subtree's tight region bottom-up, one level
-at a time. The columns are kept on the tree dataset
+A tree comes in two forms. An in-process tree is a dataset of (name,
+TreeNodeValue) entries, which the check first zips into raw columns
+(``entry_columns``); a tree file is read straight into raw columns
+(``io.read_tree_jsonl``) and searched as a one-element dataset holding
+them (``file_tree``). Raw columns are numpy arrays over node positions
+(name order, so a node's position is its name's rank) of the names, the
+boxes with the child regions, and the child names. From there both
+forms take one path: the check maps child names to positions and checks
+the columns with array passes: in-degrees by ``bincount``, reachability
+by a level walk down from the root, and each subtree's tight region
+bottom-up, one level at a time. The checked columns are kept on the tree
+dataset
 (``PartitionedDataset.cached``) as a one-element dataset keyed by the
 root's name, so every later pass and search of the same dataset reuses
 them.
@@ -38,10 +44,14 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import PairDataset, PartitionedDataset
-from .geometry import validate_box
+from .engine import Engine, PairDataset, PartitionedDataset
+from .geometry import Box, validate_box
+from .memory_tree import TreeGraphEntry
 
 __all__ = [
+    "TreeColumns",
+    "entry_columns",
+    "file_tree",
     "tree_root_name",
     "init_queries",
     "search_iteration",
@@ -61,7 +71,7 @@ class _Tree(NamedTuple):
     rects: np.ndarray  # (4, 3, n): per coordinate, of the box, lt region and gt
     # region (NaN where there is no child), so a pass gathers contiguous rows
     children: np.ndarray  # (n, 2): lt and gt positions, -1 where no child
-    names: np.ndarray  # the node names ascending, as Python objects
+    names: np.ndarray  # the node names ascending, TreeColumns.names
     root: int  # the root's position
 
 
@@ -92,43 +102,93 @@ class _Block(NamedTuple):
     node: Optional[np.ndarray]
 
 
+class TreeColumns(NamedTuple):
+    """A tree's nodes as raw columns, names ascending, not yet checked.
+
+    A tree file's columns hold int64 names, -1 where there is no child;
+    an in-process tree's hold its own name objects, None where there is
+    no child.
+    """
+
+    names: np.ndarray  # (n,)
+    rects: np.ndarray  # (4, 3, n) as in _Tree
+    children: np.ndarray  # (n, 2): the lt and gt child names
+
+
+def file_tree(engine: Engine, columns: TreeColumns) -> PairDataset:
+    """A tree dataset of a tree file's columns, searched like any other.
+
+    Its one element holds ``columns``; ``tree_root_name`` checks them
+    where it checks an in-process tree's entries.
+    """
+    return engine.from_items([(None, columns)], 1)
+
+
 def _columns(tree_ds: PairDataset) -> PairDataset:
     """The tree's one (root name, _Tree) block, checked and kept on ``tree_ds``."""
     return tree_ds.cached("distributed_search.columns", _to_columns)
 
 
 def _to_columns(tree_ds: PairDataset) -> PairDataset:
-    entries = sorted(tree_ds.collect(), key=itemgetter(0))  # a tree file is sorted already
-    if not entries:
+    items = tree_ds.collect()
+    if len(items) == 1 and isinstance(items[0][1], TreeColumns):
+        columns = items[0][1]
+    else:
+        columns = entry_columns(items)
+    if not len(columns.names):
         return tree_ds.engine.from_items([])
+    tree = _check(columns)
+    root_name = tree.names[tree.root : tree.root + 1].tolist()[0]  # a Python int for int64 names
+    return tree_ds.engine.from_items([(root_name, tree)], 1)
+
+
+def entry_columns(entries: Sequence[TreeGraphEntry]) -> TreeColumns:
+    """The raw columns of (name, TreeNodeValue) entries, in name order.
+
+    Refuses an entry whose box has another name and a child that has a
+    name without a region or the reverse; ``_check`` does the rest.
+    """
+    entries = sorted(entries, key=itemgetter(0))
+    n = len(entries)
+    rects = np.full((4, 3, n), np.nan)
+    children = np.empty((n, 2), dtype=object)
+    if not entries:
+        return TreeColumns(np.array([], dtype=object), rects, children)
     names, values = zip(*entries)
     boxes, lt_names, lt_regions, gt_names, gt_regions = zip(*values)
-    n = len(names)
     if names != tuple(map(itemgetter(0), boxes)):
         name, box = next((name, box) for name, box in zip(names, boxes) if name != box[0])
         raise ValueError(f"tree entry {name} holds the box of node {box[0]}")
-
-    rects = np.full((4, 3, n), np.nan)
     coordinates = chain.from_iterable(map(itemgetter(slice(1, None)), boxes))
     rects[:, 0] = np.fromiter(coordinates, float, 4 * n).reshape(n, 4).T
+    for side, child_names, regions in ((0, lt_names, lt_regions), (1, gt_names, gt_regions)):
+        present = list(map(is_not, child_names, repeat(None)))
+        if present != list(map(is_not, regions, repeat(None))):
+            i = next(i for i, (c, r) in enumerate(zip(child_names, regions)) if (c is None) != (r is None))
+            raise ValueError(f"node {names[i]}: child {child_names[i]} has region {regions[i]}")
+        has = np.array(present, dtype=bool)
+        coordinates = chain.from_iterable(compress(regions, present))
+        rects[:, 1 + side, has] = np.fromiter(coordinates, float, 4 * int(has.sum())).reshape(-1, 4).T
+        children[:, side] = child_names
+    return TreeColumns(np.array(names, dtype=object), rects, children)
+
+
+def _check(columns: TreeColumns) -> _Tree:
+    """The checked tree of non-empty raw columns; see ``tree_root_name``."""
+    names, rects, child_names = columns
+    n = len(names)
     box = rects[:, 0]
     valid = np.isfinite(box).all(axis=0) & (box[0] <= box[2]) & (box[1] <= box[3])
     if not valid.all():
-        validate_box(boxes[int(np.argmin(valid))])  # raises with the box's own message
+        i = int(np.argmin(valid))
+        validate_box(Box(names[i], *box[:, i].tolist()))  # raises with the box's own message
+    repeated = names[1:] == names[:-1]
+    if repeated.any():
+        raise ValueError(f"duplicate tree node {names[int(np.argmax(repeated))]}")
 
-    position = dict(zip(names, range(n)))
-    if len(position) < n:
-        duplicate = next(name for i, name in enumerate(names) if position[name] != i)
-        raise ValueError(f"duplicate tree node {duplicate}")
-
-    children = np.stack(
-        (_links(names, lt_names, lt_regions, position, rects[:, 1]),
-         _links(names, gt_names, gt_regions, position, rects[:, 2])),
-        axis=1,
-    )
+    children = _child_positions(names, child_names)
     if (children == -2).any():
-        missing = min(c for c in lt_names + gt_names if c is not None and c not in position)
-        raise ValueError(f"child node {missing} has no entry")
+        raise ValueError(f"child node {min(child_names[children == -2].tolist())} has no entry")
 
     linked = children[children >= 0]
     parents = np.bincount(linked, minlength=n)
@@ -167,30 +227,26 @@ def _to_columns(tree_ds: PairDataset) -> PairDataset:
                 raise ValueError(f"node {parent_name}: region of child {kid_name} misses its subtree")
             tight[:2, parent] = np.minimum(tight[:2, parent], sub[:2])
             tight[2:, parent] = np.maximum(tight[2:, parent], sub[2:])
-
-    tree = _Tree(rects, children, np.array(names, dtype=object), int(roots[0]))
-    return tree_ds.engine.from_items([(names[tree.root], tree)], 1)
+    return _Tree(rects, children, names, int(roots[0]))
 
 
-def _links(names, child_names, regions, position, region_columns) -> np.ndarray:
-    """Child positions: -1 for no child, -2 for a name without an entry.
-    Writes each child's region to its parent's column of ``region_columns``."""
-    present = list(map(is_not, child_names, repeat(None)))
-    if present != list(map(is_not, regions, repeat(None))):
-        i = next(i for i, (c, r) in enumerate(zip(child_names, regions)) if (c is None) != (r is None))
-        raise ValueError(f"node {names[i]}: child {child_names[i]} has region {regions[i]}")
-    has = np.array(present, dtype=bool)
-    link = np.fromiter(map(position.get, child_names, repeat(-2)), np.intp, len(present))
-    link[~has] = -1
-    coordinates = chain.from_iterable(compress(regions, present))
-    region_columns[:, has] = np.fromiter(coordinates, float, 4 * int(has.sum())).reshape(-1, 4).T
-    return link
+def _child_positions(names: np.ndarray, child_names: np.ndarray) -> np.ndarray:
+    """(n, 2) child positions: -1 for no child, -2 for a name without an entry."""
+    n = len(names)
+    if names.dtype == object:
+        position = dict(zip(names.tolist(), range(n)))
+        position[None] = -1
+        link = np.fromiter(map(position.get, child_names.ravel().tolist(), repeat(-2)), np.intp, 2 * n)
+        return link.reshape(n, 2)
+    at = np.searchsorted(names, child_names).clip(max=n - 1)
+    return np.where(names[at] == child_names, at, np.where(child_names < 0, -1, -2))
 
 
 def tree_root_name(tree_ds: PairDataset) -> Optional[int]:
     """Name of the tree's root; None if ``tree_ds`` is empty.
 
-    Raises ValueError unless the entries form one tree a search can walk:
+    Raises ValueError unless the entries, or a ``file_tree``'s columns,
+    form one tree a search can walk:
     every box is valid and named by its entry's key, and every name is
     unique; a child has a name exactly when it has a region, and every
     child name has an entry; exactly one entry is no entry's child; the

@@ -5,9 +5,16 @@ write/read cycle reproduces every value bit-exactly and generation is
 byte-deterministic. Every file is written in one pass, one f-string per
 line; tree-file lines are JSON, with the bytes ``json.dumps`` would
 write. Readers check each line's syntax and names, each box and that no
-name repeats in box CSVs, and each record's values in bench CSVs;
-whether a tree file's entries form one searchable tree is checked by the
-search itself (``distributed_search.tree_root_name``).
+name repeats in box CSVs, that no query repeats in result CSVs, and each
+record's values in bench CSVs.
+
+A tree file is read into the search's raw columns
+(``distributed_search.TreeColumns``), not into per-node objects: a file
+as ``write_tree_jsonl`` writes it is parsed whole with numpy, and any
+other goes through a line-by-line JSON parser, whose entries become
+columns as an in-process tree's do. Whether the columns form one
+searchable tree is checked by the search itself
+(``distributed_search.tree_root_name``).
 """
 
 from __future__ import annotations
@@ -15,8 +22,11 @@ from __future__ import annotations
 import json
 import math
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from .distributed_search import TreeColumns, entry_columns
 from .geometry import Box, Region, validate_box
 from .memory_tree import TreeGraphEntry, TreeNodeValue
 
@@ -49,8 +59,9 @@ def _read_rows(path: str, header: str, nfields: int, parse: Callable[[List[str]]
     """``parse`` applied to each row's fields, after the header; blank lines skipped.
 
     A wrong header is refused, and so is a row with the wrong field count,
-    a ``_`` in a field (``int`` and ``float`` read ``1_0`` as 10) or one
-    that ``parse`` refuses with ValueError, prefixed with ``path:line``.
+    a ``_``, space or tab in a field (``int`` and ``float`` read ``1_0``
+    as 10 and `` 1`` as 1) or one that ``parse`` refuses with ValueError,
+    prefixed with ``path:line``.
     """
     rows = []
     with open(path, "r", encoding="ascii") as fh:
@@ -65,8 +76,8 @@ def _read_rows(path: str, header: str, nfields: int, parse: Callable[[List[str]]
             try:
                 if len(fields) != nfields:
                     raise ValueError(f"expected {nfields} fields, got {len(fields)}")
-                if "_" in line:
-                    raise ValueError("'_' in a field")
+                if "_" in line or " " in line or "\t" in line:
+                    raise ValueError("'_', space or tab in a field")
                 rows.append(parse(fields))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
@@ -151,13 +162,108 @@ def _child_fields(obj) -> Tuple:
     return _node_name(obj["name"]), Region(*_four_numbers(obj["region"]))
 
 
-def read_tree_jsonl(path: str) -> List[TreeGraphEntry]:
+def read_tree_jsonl(path: str) -> TreeColumns:
+    """Parse a tree file into the search's raw columns, in name order.
+
+    A file spelled as ``write_tree_jsonl`` writes it, with finite
+    coordinates written without an exponent and ascending names below
+    2^53, is parsed whole into arrays (``_parse_written``). Any other
+    file is parsed line by line (``_read_tree_lines``), which reports a
+    bad line with its number. Only each line is checked here; whether the
+    nodes form a tree a search can walk is checked where every search
+    starts, ``distributed_search.tree_root_name``.
+    """
+    with open(path, "rb") as fh:
+        columns = _parse_written(fh.read())
+    return entry_columns(_read_tree_lines(path)) if columns is None else columns
+
+
+# The line shapes write_tree_jsonl writes, with every number character
+# deleted; a number with an exponent, NaN or Infinity leaves letters
+_NUMBER_CHARS = b"0123456789.-"
+_HEAD = b'{"name":,"box":[,,,],"lt":'
+_CHILD = b'{"name":,"region":[,,,]}'
+_SHAPES = [_HEAD + lt + b',"gt":' + gt + b"}\n" for lt in (_CHILD, b"null") for gt in (_CHILD, b"null")]
+_NUMBERS_ONLY = bytes(c if c in _NUMBER_CHARS else 32 for c in range(256))
+_TENS = 10.0 ** np.arange(1, 17)  # a name below 2^53 has at most 16 digits
+
+
+def _digits(chars: np.ndarray) -> np.ndarray:
+    return chars - 48 < 10  # uint8: every byte below "0" wraps above 9
+
+
+def _parse_written(data: bytes) -> Optional[TreeColumns]:
+    """The columns of a tree file as write_tree_jsonl writes it; None for any other.
+
+    No Python object is made per node or number: every line's shape is
+    checked at once on the bytes, the numbers are read by one
+    ``np.fromstring``, and the JSON rules that float parsing does not
+    keep are checked on the number characters with numpy.
+    """
+    shapes = data.translate(None, _NUMBER_CHARS)
+    # an occurrence of a shape lies within one line, so they tile the
+    # file exactly when every line is one of them
+    if not shapes or sum(shapes.count(s) * len(s) for s in _SHAPES) != len(shapes):
+        return None
+    shape = np.frombuffer(shapes, np.uint8)
+    starts = np.concatenate(([0], np.flatnonzero(shape == 10)[:-1] + 1))
+    has_lt = shape[starts + len(_HEAD)] == ord("{")
+    has_gt = shape[starts + len(_HEAD) + np.where(has_lt, len(_CHILD), 4) + len(',"gt":')] == ord("{")
+
+    text = data.translate(_NUMBERS_ONLY)  # numbers between spaces
+    chars = np.frombuffer(text, np.uint8)
+    space = chars == 32
+    token = np.flatnonzero(space[:-1] & ~space[1:]) + 1  # where each number starts
+    count = 5 * (1 + has_lt.astype(np.intp) + has_gt)
+    if len(token) != count.sum():  # a number slot was empty
+        return None
+    # JSON refuses what float parsing takes: a leading 0 ("01", "-01")
+    # and a "." without a digit on each side ("1.", ".5", "-.5")
+    lead = token + (chars[token] == ord("-"))
+    if ((chars[lead] == ord("0")) & _digits(chars[lead + 1])).any():
+        return None
+    dots = np.flatnonzero(chars == ord("."))
+    if not (_digits(chars[dots - 1]) & _digits(chars[dots + 1])).all():
+        return None
+    try:
+        values = np.fromstring(text, sep=" ")
+    except ValueError:  # a number it cannot read, such as "-" or "1-2"
+        return None
+    if len(values) != len(token) or not np.isfinite(values).all():
+        return None
+
+    first = np.cumsum(count) - count  # each line's name, then its box
+    lt = first[has_lt] + 5
+    gt = (first + 5 + 5 * has_lt)[has_gt]
+    # a name is an integer in [0, 2^53) spelled with its digits only: no
+    # other spelling of it ("5.0", "-0") is as short
+    name = np.concatenate((first, lt, gt))
+    value = values[name]
+    if not ((value >= 0) & (value < 2**53) & (value == np.floor(value))).all():
+        return None
+    if (chars[token[name] + np.searchsorted(_TENS, value, side="right") + 1] != 32).any():
+        return None
+    names = values[first].astype(np.int64)
+    if (names[1:] <= names[:-1]).any():  # hand-sorted or repeated: let the line parser keep it
+        return None
+
+    n = len(first)
+    rects = np.full((4, 3, n), np.nan)
+    children = np.full((n, 2), -1, dtype=np.int64)
+    four = np.arange(1, 5)  # the four numbers after a name
+    rects[:, 0] = values[first[:, None] + four].T
+    rects[:, 1, has_lt] = values[lt[:, None] + four].T
+    rects[:, 2, has_gt] = values[gt[:, None] + four].T
+    children[has_lt, 0] = values[lt]
+    children[has_gt, 1] = values[gt]
+    return TreeColumns(names, rects, children)
+
+
+def _read_tree_lines(path: str) -> List[TreeGraphEntry]:
     """Parse a tree file into (name, TreeNodeValue) entries, in file order.
 
-    Only each line is checked here: its syntax, a box and regions of four
-    JSON numbers each, and non-negative integer node names. Whether the
-    entries form a tree a search can walk is checked where every search
-    starts, ``distributed_search.tree_root_name``.
+    Checks each line: its syntax, a box and regions of four JSON numbers
+    each, and non-negative integer node names.
     """
     entries: List[TreeGraphEntry] = []
     with open(path, "r", encoding="ascii") as fh:
@@ -186,11 +292,18 @@ def write_results_csv(path: str, grouped: Iterable[Tuple[int, Sequence[int]]]) -
 
 
 def read_results_csv(path: str) -> Dict[int, List[int]]:
-    def parse(fields: List[str]) -> Tuple[int, List[int]]:
-        query, matches = fields
-        return _name(query), [_name(m) for m in matches.split(";")] if matches else []
+    """Parse a results CSV; a bad line or a repeated query name is refused."""
+    results: Dict[int, List[int]] = {}
 
-    return dict(_read_rows(path, RESULTS_CSV_HEADER, 2, parse))
+    def parse(fields: List[str]) -> None:
+        query, matches = fields
+        name = _name(query)
+        if name in results:
+            raise ValueError(f"repeated query name {name}")
+        results[name] = [_name(m) for m in matches.split(";")] if matches else []
+
+    _read_rows(path, RESULTS_CSV_HEADER, 2, parse)
+    return results
 
 
 def write_bench_csv(path: str, records: Iterable) -> None:

@@ -18,5 +18,6 @@ def test_every_timed_search_hashes_its_tree(monkeypatch):
     monkeypatch.setattr(bench, "run_search", spy)
     bench.run_search_bench(4, 5, workers=2, repeats=3)
     bench.run_scaling_bench(4, 3, repeats=2, phase="search")
-    assert len(trees) == 2 * 3 + 2 * 3
+    # the n sweep runs an untimed search before each timed one
+    assert len(trees) == 2 * 3 * 2 + 2 * 3
     assert len({id(t) for t in trees}) == len(trees)

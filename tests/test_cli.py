@@ -1,6 +1,6 @@
 import pytest
 
-from boxtree import io
+from boxtree import distributed_search, io
 from boxtree.cli import main
 from boxtree.geometry import Box
 
@@ -51,6 +51,23 @@ class TestBuildSearchPipeline:
         assert code == 0
         assert "verification: ok" in capsys.readouterr().out
         assert len(io.read_results_csv(results)) == 36
+
+    def test_search_makes_no_object_per_tree_node(self, tmp_path, boxes_csv, monkeypatch, capsys):
+        # a built tree file is read whole into the search's columns: the
+        # line parser, its per-node values and the entries' converter stay idle
+        tree = tmp_path / "tree.jsonl"
+        assert run(["build", "--in", boxes_csv, "--workers", 2, "--out", tree]) == 0
+
+        def refuse(*args):
+            raise AssertionError("a per-node object was made")
+
+        for owner, name in ((io, "_read_tree_lines"), (io, "Region"), (io, "TreeNodeValue"),
+                            (io, "entry_columns"), (distributed_search, "entry_columns")):
+            monkeypatch.setattr(owner, name, refuse)
+        code = run(["search", "--tree", tree, "--queries", boxes_csv, "--workers", 2,
+                    "--out", tmp_path / "results.csv", "--verify"])
+        assert code == 0
+        assert "verification: ok" in capsys.readouterr().out
 
     def test_verification_failure_exits_1(self, tmp_path, boxes_csv, capsys):
         tree, queries = tmp_path / "tree.jsonl", tmp_path / "queries.csv"

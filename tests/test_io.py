@@ -1,5 +1,7 @@
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -7,11 +9,29 @@ from boxtree import io
 from boxtree.bench import BenchRecord
 from boxtree.engine import Engine, EngineConfig
 from boxtree.geometry import Box, Region
+from boxtree.distributed_search import entry_columns
 from boxtree.distributed_tree import build_distributed_tree
 from boxtree.memory_tree import TreeNodeValue
 from boxtree.testdata import SquareGridSpec, generate_test_data
 
 from conftest import BAD_TREES, PARSE_ERRORS, random_boxes
+
+# The message each PARSE_ERRORS case is refused with, after its path:line
+PARSE_MESSAGES = {
+    "bool-coordinate": "expected a list of four numbers, got [true, true, 2, 2]",
+    "bool-name": "node name must be a non-negative integer, got true",
+    "float-name": "node name must be a non-negative integer, got 1.5",
+    "huge-int-coordinate": "a coordinate is an integer beyond the range of a float",
+    "huge-int-region": "a coordinate is an integer beyond the range of a float",
+    "list-name": "node name must be a non-negative integer, got [1]",
+    "negative-name": "node name must be a non-negative integer, got -3",
+    "non-numeric-coordinate": 'expected a list of four numbers, got ["a", 0.0, 1.0, 1.0]',
+    "null-name": "node name must be a non-negative integer, got null",
+    "string-box": 'expected a list of four numbers, got "0022"',
+    "string-child-name": 'node name must be a non-negative integer, got "1"',
+    "string-coordinate": 'expected a list of four numbers, got ["0.0", "0.0", "1.0", "1.0"]',
+    "string-region": 'expected a list of four numbers, got "0011"',
+}
 
 
 class TestBoxCsv:
@@ -66,6 +86,9 @@ class TestBoxCsv:
         "1,0.0,0.0,1_0.5,1.0",
         "+2,0.0,0.0,1.0,1.0",
         "2 ,0.0,0.0,1.0,1.0",
+        "3, 0.0,0.0,1.0,1.0",
+        "3,0.0,0.0,1.0 ,1.0",
+        "3,0.0,\t0.0,1.0,1.0",
     ])
     def test_rejects_python_literal_syntax(self, tmp_path, row):
         path = tmp_path / "bad.csv"
@@ -103,6 +126,61 @@ _links = st.none() | st.tuples(_names, _rects)
 _nodes = st.tuples(_names, _rects, _links, _links)
 
 
+def _entries(nodes):
+    return [(name, TreeNodeValue(Box(name, *box), *_child(lt), *_child(gt)))
+            for name, box, lt, gt in nodes]
+
+
+def assert_same_columns(got, expected):
+    """Equal raw columns: the same name ints, the same coordinates (NaN
+    equal to NaN, -0.0 apart from 0.0) and the same child names."""
+
+    def children(columns):
+        absent = None if columns.children.dtype == object else -1
+        return [[None if c == absent else c for c in pair] for pair in columns.children.tolist()]
+
+    assert got.names.tolist() == expected.names.tolist()
+    assert {type(name) for name in got.names.tolist()} <= {int}
+    assert np.array_equal(got.rects, expected.rects, equal_nan=True)
+    assert np.array_equal(np.signbit(got.rects), np.signbit(expected.rects))
+    assert children(got) == children(expected)
+
+
+def line_parser_columns(path):
+    """The columns of a tree file read line by line, as an in-process tree's."""
+    return entry_columns(io._read_tree_lines(path))
+
+
+# numbers and names that write_tree_jsonl writes without an exponent, the
+# spelling read_tree_jsonl parses whole
+_plain_numbers = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(-1e15, 1e15).filter(lambda x: "e" not in repr(x)),
+    st.sampled_from([-0.0, 0.0, 0.1, 1e15]),
+)
+_plain_names = st.integers(min_value=0, max_value=2**53 - 1)
+_plain_rects = st.tuples(_plain_numbers, _plain_numbers, _plain_numbers, _plain_numbers)
+_plain_links = st.none() | st.tuples(_plain_names, _plain_rects)
+_plain_nodes = st.tuples(_plain_names, _plain_rects, _plain_links, _plain_links)
+
+# one valid tree, the second line of each file below
+_LINE_1 = '{"name":0,"box":[0.0,0.0,1.0,1.0],"lt":null,"gt":{"name":1,"region":[0.0,0.0,1.0,1.0]}}'
+_LINE_2 = '{"name":1,"box":[0.0,0.0,1.0,1.0],"lt":null,"gt":null}'
+
+# valid files spelled otherwise than write_tree_jsonl spells them
+HAND_EDITED = {
+    "spaces": [_LINE_1.replace(":", ": ").replace(",", ", "), _LINE_2],
+    "reordered-keys": [_LINE_1, '{"gt":null,"lt":null,"box":[0.0,0.0,1.0,1.0],"name":1}'],
+    "blank-lines": ["", _LINE_1, "", _LINE_2, ""],
+    "exponent": [_LINE_1.replace("1.0]}}", "1E5]}}"), _LINE_2.replace("1.0,1.0]", "1e0,1E+0]")],
+    "non-finite": [_LINE_1.replace("[0.0,0.0,1.0,1.0]}}", "[-Infinity,NaN,Infinity,1.0]}}"), _LINE_2],
+    "name-beyond-2^53": [_LINE_1.replace('"name":1', f'"name":{2**53}'),
+                         _LINE_2.replace('"name":1', f'"name":{2**53}')],
+    "unsorted": [_LINE_2, _LINE_1],
+    "crlf": [_LINE_1 + "\r", _LINE_2 + "\r"],
+}
+
+
 class TestTreeJsonl:
     def test_round_trip(self, tmp_path):
         boxes = random_boxes(40, seed=2)
@@ -110,8 +188,17 @@ class TestTreeJsonl:
             entries = build_distributed_tree(boxes, engine, 2).collect()
         path = tmp_path / "tree.jsonl"
         io.write_tree_jsonl(path, entries)
-        back = io.read_tree_jsonl(path)
-        assert back == sorted(entries, key=lambda e: e[0])
+        assert_same_columns(io.read_tree_jsonl(path), entry_columns(entries))
+
+    def test_built_tree_is_read_whole(self, tmp_path, monkeypatch):
+        boxes = generate_test_data(SquareGridSpec(8))  # names 0..127
+        boxes += [Box(1000 + b.name, *b[1:]) for b in random_boxes(40, seed=4)]
+        with Engine(EngineConfig(workers=1)) as engine:
+            entries = build_distributed_tree(boxes, engine, 0).collect()
+        path = tmp_path / "tree.jsonl"
+        io.write_tree_jsonl(path, entries)
+        monkeypatch.setattr(io, "_read_tree_lines", None)  # the line parser is not called
+        assert_same_columns(io.read_tree_jsonl(path), entry_columns(entries))
 
     def test_lines_sorted_by_name(self, tmp_path):
         boxes = random_boxes(10, seed=3)
@@ -125,9 +212,37 @@ class TestTreeJsonl:
     def test_integer_coordinates_accepted(self, tmp_path):
         path = tmp_path / "tree.jsonl"
         path.write_text('{"name":0,"box":[0,0,1,1],"lt":{"name":1,"region":[2,2,3,3]},"gt":null}\n')
-        ((_, value),) = io.read_tree_jsonl(path)
-        assert value.box == Box(0, 0.0, 0.0, 1.0, 1.0)
-        assert value.lt_region == Region(2.0, 2.0, 3.0, 3.0)
+        columns = io.read_tree_jsonl(path)
+        assert columns.names.tolist() == [0]
+        assert columns.rects[:, :2, 0].T.tolist() == [[0.0, 0.0, 1.0, 1.0], [2.0, 2.0, 3.0, 3.0]]
+        assert columns.children.tolist() == [[1, -1]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(nodes=st.lists(_nodes, max_size=6, unique_by=lambda node: node[0]))
+    @example(nodes=[(2**64 + 1, (-0.0, 5e-324, 1e16, 1e22), (0, (1, -2, 2**70, 0.0)), None),
+                    (0, (float("nan"), float("inf"), -float("inf"), 3), None,
+                     (2**63, (-0.0, float("-inf"), 1e-7, float("nan"))))])
+    def test_columns_equal_the_line_parsers(self, tmp_path_factory, nodes):
+        path = tmp_path_factory.mktemp("tree") / "tree.jsonl"
+        io.write_tree_jsonl(path, _entries(nodes))
+        assert_same_columns(io.read_tree_jsonl(path), line_parser_columns(path))
+
+    @settings(max_examples=100, deadline=None)
+    @given(nodes=st.lists(_plain_nodes, min_size=1, max_size=6, unique_by=lambda node: node[0]))
+    @example(nodes=[(2**53 - 1, (-0.0, 0.1, 2**70, -(2**70)), (0, (1, -2, 10, 0.0)), None),
+                    (0, (0, 0.5, 1e15, 3), None, (2**53 - 1, (-0.0, 1, 2, 3)))])
+    def test_plain_files_are_read_whole(self, tmp_path_factory, nodes):
+        path = tmp_path_factory.mktemp("tree") / "tree.jsonl"
+        io.write_tree_jsonl(path, _entries(nodes))
+        assert io._parse_written(path.read_bytes()) is not None
+        assert_same_columns(io.read_tree_jsonl(path), line_parser_columns(path))
+
+    @pytest.mark.parametrize("case", sorted(HAND_EDITED))
+    def test_hand_edited_file_takes_the_line_parser(self, tmp_path, case):
+        path = tmp_path / "tree.jsonl"
+        path.write_text("\n".join(HAND_EDITED[case]) + "\n")
+        assert io._parse_written(path.read_bytes()) is None
+        assert_same_columns(io.read_tree_jsonl(path), line_parser_columns(path))
 
     @settings(max_examples=100, deadline=None)
     @given(nodes=st.lists(_nodes, max_size=6, unique_by=lambda node: node[0]))
@@ -135,8 +250,7 @@ class TestTreeJsonl:
                     (0, (float("nan"), float("inf"), -float("inf"), 3), None,
                      (2**63, (-0.0, float("-inf"), 1e-7, float("nan"))))])
     def test_bytes_equal_json_dumps(self, tmp_path_factory, nodes):
-        entries = [(name, TreeNodeValue(Box(name, *box), *_child(lt), *_child(gt)))
-                   for name, box, lt, gt in nodes]
+        entries = _entries(nodes)
         path = tmp_path_factory.mktemp("tree") / "tree.jsonl"
         io.write_tree_jsonl(path, entries)
         assert path.read_bytes() == json_dumps_tree(entries)
@@ -155,6 +269,12 @@ class TestResultsCsv:
         io.write_results_csv(path, grouped)
         assert path.read_text().splitlines()[1:] == ["2,0", "5,1;2;9", "7,3"]
         assert io.read_results_csv(path) == {2: [0], 5: [1, 2, 9], 7: [3]}
+
+    def test_rejects_repeated_query(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text("query,matches\n1,2\n1,3\n")
+        with pytest.raises(ValueError, match=r"results\.csv:3: repeated query name 1"):
+            io.read_results_csv(path)
 
     @pytest.mark.parametrize("row", ["1_0,2_0;+3", "1,2;+3", "+1,2", "1,2_0", "1,2; 3"])
     def test_rejects_python_literal_syntax(self, tmp_path, row):
@@ -202,5 +322,41 @@ class TestValidateTree:
     def test_rejected_on_load(self, tmp_path, case):
         path = tmp_path / "tree.jsonl"
         path.write_text("\n".join(BAD_TREES[case]) + "\n")
-        with pytest.raises(ValueError, match=r"tree\.jsonl:\d+: "):
+        message = "tree.jsonl:1: malformed tree entry: " + PARSE_MESSAGES[case]
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            io.read_tree_jsonl(path)
+
+    @pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+    def test_rejected_on_load_when_spelled_as_written(self, tmp_path, case):
+        # without json.dumps's spaces, as write_tree_jsonl spells a line
+        lines = [json.dumps(json.loads(line), separators=(",", ":")) for line in BAD_TREES[case]]
+        path = tmp_path / "tree.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        message = "tree.jsonl:1: malformed tree entry: " + PARSE_MESSAGES[case]
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            io.read_tree_jsonl(path)
+
+    # JSON refuses each of these numbers, where float() takes all but "-",
+    # "1e" and "1-2"; and a name must be an int
+    @pytest.mark.parametrize("spelling", [
+        *(("box", number) for number in ["01", "+1", "1.", ".5", "-", "1e", "-01", "1-2", "1..2", ""]),
+        *(("region", number) for number in ["01", "+1", "1.", ".5", "-", "1e", "-01", "-.5", ""]),
+        *(("name", number) for number in ["1.0", "10.0", "1e0", "01", "-1", "+1", ""]),
+    ])
+    def test_non_json_number_rejected(self, tmp_path, spelling):
+        where, number = spelling
+        # line 2 of a file read whole but for the number
+        line = _LINE_1.replace('"name":1', '"name":2').replace('"name":0', '"name":1')
+        good = f"{_LINE_1}\n{line}\n"
+        assert io._parse_written(good.encode()) is not None
+        if where == "box":
+            bad = line.replace("[0.0,0.0,1.0,1.0],", f"[0.0,0.0,{number},1.0],")
+        elif where == "region":
+            bad = line.replace('"region":[0.0', f'"region":[{number}')
+        else:
+            bad = line.replace('"name":2', f'"name":{number}')
+        assert bad != line
+        path = tmp_path / "tree.jsonl"
+        path.write_text(f"{_LINE_1}\n{bad}\n")
+        with pytest.raises(ValueError, match=r"tree\.jsonl:2: malformed tree entry: "):
             io.read_tree_jsonl(path)
