@@ -173,8 +173,7 @@ def read_tree_jsonl(path: str) -> TreeColumns:
     nodes form a tree a search can walk is checked where every search
     starts, ``distributed_search.tree_root_name``.
     """
-    with open(path, "rb") as fh:
-        columns = _parse_written(fh.read())
+    columns = _parse_written(path)
     return entry_columns(_read_tree_lines(path)) if columns is None else columns
 
 
@@ -192,56 +191,31 @@ def _digits(chars: np.ndarray) -> np.ndarray:
     return chars - 48 < 10  # uint8: every byte below "0" wraps above 9
 
 
-def _parse_written(data: bytes) -> Optional[TreeColumns]:
+def _parse_written(path: str) -> Optional[TreeColumns]:
     """The columns of a tree file as write_tree_jsonl writes it; None for any other.
 
-    No Python object is made per node or number: every line's shape is
+    No Python object is made per node or number: the lines' shapes are
     checked at once on the bytes, the numbers are read by one
     ``np.fromstring``, and the JSON rules that float parsing does not
-    keep are checked on the number characters with numpy.
+    keep are checked on the number characters with numpy. The helpers
+    drop their file-sized buffers on return, which keeps the peak near
+    four of them.
     """
-    shapes = data.translate(None, _NUMBER_CHARS)
-    # an occurrence of a shape lies within one line, so they tile the
-    # file exactly when every line is one of them
-    if not shapes or sum(shapes.count(s) * len(s) for s in _SHAPES) != len(shapes):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    kinds = _line_kinds(data)
+    if kinds is None:
         return None
-    shape = np.frombuffer(shapes, np.uint8)
-    starts = np.concatenate(([0], np.flatnonzero(shape == 10)[:-1] + 1))
-    has_lt = shape[starts + len(_HEAD)] == ord("{")
-    has_gt = shape[starts + len(_HEAD) + np.where(has_lt, len(_CHILD), 4) + len(',"gt":')] == ord("{")
-
+    has_lt, has_gt = kinds
     text = data.translate(_NUMBERS_ONLY)  # numbers between spaces
-    chars = np.frombuffer(text, np.uint8)
-    space = chars == 32
-    token = np.flatnonzero(space[:-1] & ~space[1:]) + 1  # where each number starts
+    del data
     count = 5 * (1 + has_lt.astype(np.intp) + has_gt)
-    if len(token) != count.sum():  # a number slot was empty
-        return None
-    # JSON refuses what float parsing takes: a leading 0 ("01", "-01")
-    # and a "." without a digit on each side ("1.", ".5", "-.5")
-    lead = token + (chars[token] == ord("-"))
-    if ((chars[lead] == ord("0")) & _digits(chars[lead + 1])).any():
-        return None
-    dots = np.flatnonzero(chars == ord("."))
-    if not (_digits(chars[dots - 1]) & _digits(chars[dots + 1])).all():
-        return None
-    try:
-        values = np.fromstring(text, sep=" ")
-    except ValueError:  # a number it cannot read, such as "-" or "1-2"
-        return None
-    if len(values) != len(token) or not np.isfinite(values).all():
-        return None
-
     first = np.cumsum(count) - count  # each line's name, then its box
     lt = first[has_lt] + 5
     gt = (first + 5 + 5 * has_lt)[has_gt]
-    # a name is an integer in [0, 2^53) spelled with its digits only: no
-    # other spelling of it ("5.0", "-0") is as short
-    name = np.concatenate((first, lt, gt))
-    value = values[name]
-    if not ((value >= 0) & (value < 2**53) & (value == np.floor(value))).all():
-        return None
-    if (chars[token[name] + np.searchsorted(_TENS, value, side="right") + 1] != 32).any():
+    values = _numbers(text, int(count.sum()), np.concatenate((first, lt, gt)))
+    del text
+    if values is None:
         return None
     names = values[first].astype(np.int64)
     if (names[1:] <= names[:-1]).any():  # hand-sorted or repeated: let the line parser keep it
@@ -257,6 +231,56 @@ def _parse_written(data: bytes) -> Optional[TreeColumns]:
     children[has_lt, 0] = values[lt]
     children[has_gt, 1] = values[gt]
     return TreeColumns(names, rects, children)
+
+
+def _line_kinds(data: bytes) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Whether each line has an lt and a gt child, if every line has one of
+    write_tree_jsonl's shapes; None otherwise."""
+    shapes = data.translate(None, _NUMBER_CHARS)
+    # an occurrence of a shape lies within one line, so they tile the
+    # file exactly when every line is one of them
+    if not shapes or sum(shapes.count(s) * len(s) for s in _SHAPES) != len(shapes):
+        return None
+    shape = np.frombuffer(shapes, np.uint8)
+    starts = np.concatenate(([0], np.flatnonzero(shape == 10)[:-1] + 1))
+    has_lt = shape[starts + len(_HEAD)] == ord("{")
+    has_gt = shape[starts + len(_HEAD) + np.where(has_lt, len(_CHILD), 4) + len(',"gt":')] == ord("{")
+    return has_lt, has_gt
+
+
+def _numbers(text: bytes, expected: int, name: np.ndarray) -> Optional[np.ndarray]:
+    """The numbers of ``text``, if there are ``expected`` of them, each a
+    finite JSON number and those at ``name`` names; None otherwise."""
+    chars = np.frombuffer(text, np.uint8)
+    number = chars != 32
+    token = np.flatnonzero(number[1:] > number[:-1]) + 1  # where each number starts
+    del number
+    if len(token) != expected:  # a number slot was empty
+        return None
+    # JSON refuses what float parsing takes: a leading 0 ("01", "-01")
+    # and a "." without a digit on each side ("1.", ".5", "-.5")
+    lead = token + (chars[token] == ord("-"))
+    if ((chars[lead] == ord("0")) & _digits(chars[lead + 1])).any():
+        return None
+    del lead
+    dots = np.flatnonzero(chars == ord("."))
+    if not (_digits(chars[dots - 1]) & _digits(chars[dots + 1])).all():
+        return None
+    del dots
+    try:
+        values = np.fromstring(text, sep=" ", count=expected)
+    except ValueError:  # a number it cannot read, such as "-" or "1-2"
+        return None
+    if not np.isfinite(values).all():
+        return None
+    # a name is an integer in [0, 2^53) spelled with its digits only: no
+    # other spelling of it ("5.0", "-0") is as short
+    value = values[name]
+    if not ((value >= 0) & (value < 2**53) & (value == np.floor(value))).all():
+        return None
+    if (chars[token[name] + np.searchsorted(_TENS, value, side="right") + 1] != 32).any():
+        return None
+    return values
 
 
 def _read_tree_lines(path: str) -> List[TreeGraphEntry]:

@@ -234,14 +234,14 @@ class TestTreeJsonl:
     def test_plain_files_are_read_whole(self, tmp_path_factory, nodes):
         path = tmp_path_factory.mktemp("tree") / "tree.jsonl"
         io.write_tree_jsonl(path, _entries(nodes))
-        assert io._parse_written(path.read_bytes()) is not None
+        assert io._parse_written(path) is not None
         assert_same_columns(io.read_tree_jsonl(path), line_parser_columns(path))
 
     @pytest.mark.parametrize("case", sorted(HAND_EDITED))
     def test_hand_edited_file_takes_the_line_parser(self, tmp_path, case):
         path = tmp_path / "tree.jsonl"
         path.write_text("\n".join(HAND_EDITED[case]) + "\n")
-        assert io._parse_written(path.read_bytes()) is None
+        assert io._parse_written(path) is None
         assert_same_columns(io.read_tree_jsonl(path), line_parser_columns(path))
 
     @settings(max_examples=100, deadline=None)
@@ -347,8 +347,9 @@ class TestValidateTree:
         where, number = spelling
         # line 2 of a file read whole but for the number
         line = _LINE_1.replace('"name":1', '"name":2').replace('"name":0', '"name":1')
-        good = f"{_LINE_1}\n{line}\n"
-        assert io._parse_written(good.encode()) is not None
+        path = tmp_path / "tree.jsonl"
+        path.write_text(f"{_LINE_1}\n{line}\n")
+        assert io._parse_written(path) is not None
         if where == "box":
             bad = line.replace("[0.0,0.0,1.0,1.0],", f"[0.0,0.0,{number},1.0],")
         elif where == "region":
@@ -356,7 +357,6 @@ class TestValidateTree:
         else:
             bad = line.replace('"name":2', f'"name":{number}')
         assert bad != line
-        path = tmp_path / "tree.jsonl"
         path.write_text(f"{_LINE_1}\n{bad}\n")
         with pytest.raises(ValueError, match=r"tree\.jsonl:2: malformed tree entry: "):
             io.read_tree_jsonl(path)
