@@ -231,7 +231,11 @@ def _check(columns: TreeColumns) -> _Tree:
 
 
 def _child_positions(names: np.ndarray, child_names: np.ndarray) -> np.ndarray:
-    """(n, 2) child positions: -1 for no child, -2 for a name without an entry."""
+    """(n, 2) child positions: -1 for no child, -2 for a name without an entry.
+
+    Looked up in a dict for Python-int names (in-process trees and files
+    the line parser read), by binary search for a tree file's int64 names.
+    """
     n = len(names)
     if names.dtype == object:
         position = dict(zip(names.tolist(), range(n)))

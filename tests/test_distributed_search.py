@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import boxtree
-from boxtree import distributed_search
+from boxtree import distributed_search, io
 from boxtree.engine import Engine, EngineConfig, PartitionedDataset
 from boxtree.geometry import Box, Region, boxes_intersect
 from boxtree.memory_tree import build_memory_tree, presort, tree_depth
@@ -185,6 +185,22 @@ def test_in_process_bad_tree_is_refused(engine, case):
     query = Box(50, 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         run_search(search_dataset(engine, [query]), tree_ds)
+
+
+@pytest.mark.parametrize("case", sorted(set(BAD_TREES) - PARSE_ERRORS))
+def test_file_tree_is_refused_as_its_entries_are(engine, tmp_path, case):
+    # spelled as write_tree_jsonl spells it, so the file is read whole
+    # into columns, which take the same check as the entries
+    path = tmp_path / "tree.jsonl"
+    path.write_text("".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+                            for line in BAD_TREES[case]))
+    messages = []
+    for tree_ds in (distributed_search.file_tree(engine, io.read_tree_jsonl(path)),
+                    engine.from_items(tree_entries(BAD_TREES[case]))):
+        with pytest.raises(ValueError) as refused:
+            tree_root_name(tree_ds)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
 
 
 def _unit_node(name, box_name=None, lt=(None, None)):
