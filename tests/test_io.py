@@ -163,7 +163,7 @@ _plain_rects = st.tuples(_plain_numbers, _plain_numbers, _plain_numbers, _plain_
 _plain_links = st.none() | st.tuples(_plain_names, _plain_rects)
 _plain_nodes = st.tuples(_plain_names, _plain_rects, _plain_links, _plain_links)
 
-# one valid tree, the second line of each file below
+# a valid tree of two lines: node 0, and node 1 as its gt child
 _LINE_1 = '{"name":0,"box":[0.0,0.0,1.0,1.0],"lt":null,"gt":{"name":1,"region":[0.0,0.0,1.0,1.0]}}'
 _LINE_2 = '{"name":1,"box":[0.0,0.0,1.0,1.0],"lt":null,"gt":null}'
 
