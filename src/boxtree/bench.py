@@ -79,6 +79,12 @@ def _timer(phase: str, engine: Engine, boxes, cutoff: int) -> Callable[[], float
     return once
 
 
+def _check_repeats(repeats: int) -> None:
+    # with no records, the fit would report too few points instead
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+
+
 def fastest_per_point(records: List[BenchRecord], field: str) -> List[Tuple[int, float]]:
     """(value of ``field``, fastest seconds) per distinct value, ascending."""
     best: Dict[int, float] = {}
@@ -102,6 +108,7 @@ def _n_sweep(
     """
     if min_exp > max_exp:
         raise ValueError("empty exponent range")
+    _check_repeats(repeats)
     sizes = [2**exp for exp in range(min_exp, max_exp + 1)]
     records: List[BenchRecord] = []
     with Engine(EngineConfig(workers)) as engine:
@@ -152,6 +159,7 @@ def run_scaling_bench(
     """
     if phase not in ("build", "search"):
         raise ValueError(f"unknown phase {phase!r}")
+    _check_repeats(repeats)
     if max_workers < 3:
         raise ValueError("scaling fit needs at least 3 worker counts")
     n = 2**exp

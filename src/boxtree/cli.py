@@ -18,10 +18,11 @@ from .bench import (
     run_scaling_bench,
     run_search_bench,
 )
-from .distributed_search import file_tree, run_search
+from .distributed_search import column_queries, entry_columns, file_tree, run_search
 from .distributed_tree import build_distributed_tree
 from .engine import Engine, EngineConfig
 from .fits import FitResult, fit_linear_nlogn, fit_scaling_model
+from .memory_tree import column_tree
 from .testdata import BOXES_PER_SQUARE, SquareGridSpec, generate_test_data, verify_search_results
 
 __all__ = ["main"]
@@ -96,12 +97,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    """At cutoff 0, the box columns go through the array build to the
+    writer; above it, through the engine build's entries."""
     boxes = io.read_boxes_csv(args.infile)
     with Engine(EngineConfig(args.workers)) as engine:
-        tree_ds = build_distributed_tree(boxes, engine, args.cutoff)
-        entries = tree_ds.collect()
-    io.write_tree_jsonl(args.out, entries)
-    print(f"wrote {len(entries)} tree nodes to {args.out}")
+        if args.cutoff == 0:
+            columns = column_tree(boxes)
+        else:
+            tree_ds = build_distributed_tree(boxes.boxes(), engine, args.cutoff)
+            columns = entry_columns(tree_ds.collect())
+    io.write_tree_jsonl(args.out, columns)
+    print(f"wrote {len(columns.names)} tree nodes to {args.out}")
     return 0
 
 
@@ -110,12 +116,11 @@ def _cmd_search(args) -> int:
     queries = io.read_boxes_csv(args.queries)
     with Engine(EngineConfig(args.workers)) as engine:
         tree_ds = file_tree(engine, columns)
-        search_ds = engine.from_items([(b.name, b) for b in queries])
-        grouped = run_search(search_ds, tree_ds).collect()
+        grouped = run_search(column_queries(engine, queries), tree_ds).collect()
     io.write_results_csv(args.out, grouped)
     print(f"wrote {len(grouped)} result rows to {args.out}")
     if args.verify:
-        squares, rest = divmod(len(queries), BOXES_PER_SQUARE)
+        squares, rest = divmod(len(queries.names), BOXES_PER_SQUARE)
         ok = not rest and verify_search_results(dict(grouped), squares)
         print(f"verification: {'ok' if ok else 'FAILED'}")
         return 0 if ok else 1

@@ -23,7 +23,10 @@ dataset
 root's name, so every later pass and search of the same dataset reuses
 them.
 
-The queries travel as frontier blocks, at first one per query partition:
+The queries come as (name, box) items, or as box columns
+(``column_queries``, as ``boxtree search`` reads its query file), and
+travel as frontier blocks, at first one per query partition (per worker
+for columns):
 positions of live queries in the search's query arrays and of the nodes
 they visit next (none in the first blocks, which start at the root),
 every block keyed by the root's name. Each pass is one join of the
@@ -46,12 +49,13 @@ import numpy as np
 
 from .engine import Engine, PairDataset, PartitionedDataset
 from .geometry import Box, validate_box
-from .memory_tree import TreeGraphEntry
+from .memory_tree import BoxColumns, TreeColumns, TreeGraphEntry
 
 __all__ = [
     "TreeColumns",
     "entry_columns",
     "file_tree",
+    "column_queries",
     "tree_root_name",
     "init_queries",
     "search_iteration",
@@ -80,13 +84,18 @@ class _Queries:
 
     __slots__ = ("names", "ids", "box")
 
-    def __init__(self, items: Sequence[Tuple[int, tuple]]):
-        # the distinct names ascending, as Python objects: the result's row
-        # order; and the index of each query's name among them
-        self.names, self.ids = np.unique(np.array([name for name, _ in items], dtype=object),
-                                         return_inverse=True)
+    def __init__(self, names: np.ndarray, box: np.ndarray):
+        # the distinct names ascending: the result's row order; and the
+        # index of each query's name among them
+        self.names, self.ids = np.unique(names, return_inverse=True)
+        self.box = np.ascontiguousarray(box, float)  # (4, m)
+
+    @classmethod
+    def of_items(cls, items: Sequence[Tuple[int, tuple]]) -> "_Queries":
+        """The queries of (name, box) items, names as Python objects."""
         coordinates = chain.from_iterable(map(itemgetter(slice(1, None)), map(itemgetter(1), items)))
-        self.box = np.fromiter(coordinates, float, 4 * len(items)).reshape(-1, 4).T.copy()  # (4, m)
+        box = np.fromiter(coordinates, float, 4 * len(items)).reshape(-1, 4).T
+        return cls(np.array([name for name, _ in items], dtype=object), box)
 
 
 class _Block(NamedTuple):
@@ -102,19 +111,6 @@ class _Block(NamedTuple):
     node: Optional[np.ndarray]
 
 
-class TreeColumns(NamedTuple):
-    """A tree's nodes as raw columns, names ascending, not yet checked.
-
-    A tree file's columns hold int64 names, -1 where there is no child;
-    an in-process tree's hold its own name objects, None where there is
-    no child.
-    """
-
-    names: np.ndarray  # (n,)
-    rects: np.ndarray  # (4, 3, n) as in _Tree
-    children: np.ndarray  # (n, 2): the lt and gt child names
-
-
 def file_tree(engine: Engine, columns: TreeColumns) -> PairDataset:
     """A tree dataset of a tree file's columns, searched like any other.
 
@@ -122,6 +118,16 @@ def file_tree(engine: Engine, columns: TreeColumns) -> PairDataset:
     where it checks an in-process tree's entries.
     """
     return engine.from_items([(None, columns)], 1)
+
+
+def column_queries(engine: Engine, boxes: BoxColumns) -> PairDataset:
+    """A query dataset of boxes as columns, searched like (name, box) items.
+
+    Its one element holds ``boxes``; ``init_queries`` splits them into
+    one frontier block per worker, as ``engine.from_items`` would split
+    the items, with no Python object per query.
+    """
+    return engine.from_items([(None, boxes)], 1)
 
 
 def _columns(tree_ds: PairDataset) -> PairDataset:
@@ -146,7 +152,8 @@ def entry_columns(entries: Sequence[TreeGraphEntry]) -> TreeColumns:
     """The raw columns of (name, TreeNodeValue) entries, in name order.
 
     Refuses an entry whose box has another name and a child that has a
-    name without a region or the reverse; ``_check`` does the rest.
+    name without a region or the reverse; ``_check`` does the rest. The
+    entries' values are kept on the columns, for the writer.
     """
     entries = sorted(entries, key=itemgetter(0))
     n = len(entries)
@@ -170,12 +177,12 @@ def entry_columns(entries: Sequence[TreeGraphEntry]) -> TreeColumns:
         coordinates = chain.from_iterable(compress(regions, present))
         rects[:, 1 + side, has] = np.fromiter(coordinates, float, 4 * int(has.sum())).reshape(-1, 4).T
         children[:, side] = child_names
-    return TreeColumns(np.array(names, dtype=object), rects, children)
+    return TreeColumns(np.array(names, dtype=object), rects, children, values)
 
 
 def _check(columns: TreeColumns) -> _Tree:
     """The checked tree of non-empty raw columns; see ``tree_root_name``."""
-    names, rects, child_names = columns
+    names, rects, child_names = columns[:3]
     n = len(names)
     box = rects[:, 0]
     valid = np.isfinite(box).all(axis=0) & (box[0] <= box[2]) & (box[1] <= box[3])
@@ -264,17 +271,27 @@ def tree_root_name(tree_ds: PairDataset) -> Optional[int]:
 
 def init_queries(search_ds: PairDataset, root_name: Optional[int]) -> PairDataset:
     """Turn each partition of (name, box) queries into one frontier block
-    keyed by the root's name, with no node array: every query is at the root."""
+    keyed by the root's name, with no node array: every query is at the root.
+
+    A ``column_queries`` dataset's boxes become one block per worker.
+    """
     if search_ds.is_empty():
         return search_ds
     if root_name is None:
         raise ValueError("cannot start a non-empty search against an empty tree")
-    queries = _Queries(search_ds.collect())
+    items = search_ds.collect()
+    if len(items) == 1 and isinstance(items[0][1], BoxColumns):
+        queries = _Queries(*items[0][1])
+        base, extra = divmod(len(queries.ids), search_ds.engine.config.workers)
+        sizes = [base + (i < extra) for i in range(search_ds.engine.config.workers)]
+    else:
+        queries = _Queries.of_items(items)
+        sizes = list(map(len, search_ds.partitions))
     blocks = []
     start = 0
-    for part in search_ds.partitions:
-        end = start + len(part)
-        blocks.append(((root_name, _Block(queries, np.arange(start, end), None)),) if part else ())
+    for size in sizes:
+        end = start + size
+        blocks.append(((root_name, _Block(queries, np.arange(start, end), None)),) if size else ())
         start = end
     return PartitionedDataset(search_ds.engine, blocks)
 

@@ -9,7 +9,7 @@ names are integers, so super keys give a strict total order.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "AXIS_XMIN",
@@ -22,7 +22,6 @@ __all__ = [
     "DuplicateNameError",
     "superkey",
     "boxes_intersect",
-    "merge_region",
     "validate_box",
     "ensure_unique_names",
 ]
@@ -87,25 +86,6 @@ def boxes_intersect(a: Box | Region, b: Box | Region) -> bool:
         and a.y_min <= b.y_max
         and b.y_min <= a.y_max
     )
-
-
-def merge_region(box: Box, children: Sequence[Region] = ()) -> Region:
-    """Region that just encloses ``box`` and up to two child regions.
-
-    Coordinate-wise min of the mins and max of the maxes; with no children
-    the region equals the box itself.
-    """
-    x_min, y_min, x_max, y_max = box.x_min, box.y_min, box.x_max, box.y_max
-    for r in children:
-        if r.x_min < x_min:
-            x_min = r.x_min
-        if r.y_min < y_min:
-            y_min = r.y_min
-        if r.x_max > x_max:
-            x_max = r.x_max
-        if r.y_max > y_max:
-            y_max = r.y_max
-    return Region(x_min, y_min, x_max, y_max)
 
 
 def validate_box(box: Box) -> None:

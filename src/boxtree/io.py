@@ -8,27 +8,28 @@ write. Readers check each line's syntax and names, each box and that no
 name repeats in box CSVs, that no query repeats in result CSVs, and each
 record's values in bench CSVs.
 
-A tree file is read into the search's raw columns
-(``distributed_search.TreeColumns``), not into per-node objects: a file
-as ``write_tree_jsonl`` writes it is parsed whole with numpy, and any
-other goes through a line-by-line JSON parser, whose entries become
-columns as an in-process tree's do. Whether the columns form one
-searchable tree is checked by the search itself
-(``distributed_search.tree_root_name``).
+A box CSV is read into columns (``memory_tree.BoxColumns``) and a tree
+file into the search's raw columns (``distributed_search.TreeColumns``),
+not into per-row or per-node objects: a file as ``write_boxes_csv`` or
+``write_tree_jsonl`` writes it is parsed whole with numpy, and any other
+file, or one a check refuses, goes through a line-by-line parser, which
+reports the first bad line with its number. The tree writer formats raw
+columns, as ``memory_tree.column_tree`` builds them, a chunk of lines at
+a time. Whether tree columns form one searchable tree is checked by the
+search itself (``distributed_search.tree_root_name``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distributed_search import TreeColumns, entry_columns
+from .distributed_search import entry_columns
 from .geometry import Box, Region, validate_box
-from .memory_tree import TreeGraphEntry, TreeNodeValue
+from .memory_tree import BoxColumns, TreeColumns, TreeGraphEntry, TreeNodeValue
 
 __all__ = [
     "BOX_CSV_HEADER",
@@ -92,8 +93,21 @@ def _name(field: str) -> int:
     return int(field)
 
 
-def read_boxes_csv(path: str) -> List[Box]:
-    """Parse a box CSV; a bad line, a bad box or a repeated name is refused."""
+def read_boxes_csv(path: str) -> BoxColumns:
+    """Parse a box CSV into columns, in file order; a bad line, a bad box
+    or a repeated name is refused.
+
+    A file spelled as ``write_boxes_csv`` writes it, with names below
+    2^53 and exponents written as ``repr`` writes them, is parsed whole
+    into arrays (``_parse_boxes``). Any other file, and any file one of
+    its checks refuses, is parsed row by row (``_read_box_rows``), which
+    reports the first bad row with its number.
+    """
+    boxes = _parse_boxes(path)
+    return _read_box_rows(path) if boxes is None else boxes
+
+
+def _read_box_rows(path: str) -> BoxColumns:
     seen = set()
 
     def parse(fields: List[str]) -> Box:
@@ -105,38 +119,100 @@ def read_boxes_csv(path: str) -> List[Box]:
         validate_box(box)
         return box
 
-    return _read_rows(path, BOX_CSV_HEADER, 5, parse)
+    boxes = _read_rows(path, BOX_CSV_HEADER, 5, parse)
+    names = [box[0] for box in boxes]
+    dtype = object if names and max(names) >= 2**63 else np.int64
+    coords = np.array([box[1:] for box in boxes], float).reshape(-1, 4).T.copy()
+    return BoxColumns(np.array(names, dtype=dtype), coords)
 
 
-def _child_json(name, region) -> str:
-    if name is None:
-        return "null"
-    return f'{{"name":{name!r},"region":[{region[0]!r},{region[1]!r},{region[2]!r},{region[3]!r}]}}'
+_BOX_HEAD = (BOX_CSV_HEADER + "\n").encode("ascii")
+# the characters of the numbers repr writes: deleting them from a row of
+# five numbers leaves four commas and a newline
+_CSV_NUMBER_CHARS = b"0123456789.-+e"
+_CSV_SPACES = bytes.maketrans(b",\n", b"  ")
 
 
-def _tree_line(entry: TreeGraphEntry) -> str:
-    name, v = entry
-    b = v.box
-    line = (
-        f'{{"name":{name!r},"box":[{b[1]!r},{b[2]!r},{b[3]!r},{b[4]!r}],'
-        f'"lt":{_child_json(v.lt_name, v.lt_region)},'
-        f'"gt":{_child_json(v.gt_name, v.gt_region)}}}\n'
-    )
+def _parse_boxes(path: str) -> Optional[BoxColumns]:
+    """The columns of a box CSV as write_boxes_csv writes it; None for any other.
+
+    No Python object is made per row or number: the rows' shape is
+    checked at once on the bytes, the numbers are read by one
+    ``np.fromstring`` and checked as ``_numbers`` checks a tree file's,
+    and the boxes and names with numpy.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(_BOX_HEAD):
+        return None
+    body = data[len(_BOX_HEAD) - 1:]  # from the header's newline on
+    del data
+    rows = body.count(b"\n") - 1
+    # five fields, of number characters only, on every row, and no blank row
+    if body.translate(None, _CSV_NUMBER_CHARS) != b"\n" + b",,,,\n" * rows:
+        return None
+    if not rows:
+        return BoxColumns(np.empty(0, np.int64), np.empty((4, 0)))
+    values = _numbers(body.translate(_CSV_SPACES) + b" ", 5 * rows, np.arange(0, 5 * rows, 5))
+    del body
+    if values is None:
+        return None
+    values = values.reshape(rows, 5)
+    names = values[:, 0].astype(np.int64)
+    coords = values[:, 1:].T.copy()
+    if not ((coords[0] <= coords[2]) & (coords[1] <= coords[3])).all():
+        return None  # inverted: let the row parser name the row
+    ascending = np.sort(names)
+    if (ascending[1:] == ascending[:-1]).any():
+        return None  # repeated
+    return BoxColumns(names, coords)
+
+
+# Lines formatted and written at once. Formatting every line before
+# writing any raised the peak RSS of kdbench's grid-cli run (n = 2^15,
+# 2 workers, on a 2-core x86 box) from 76.3 to 88.0 MB.
+_CHUNK = 4096
+
+
+def write_tree_jsonl(path: str, columns: TreeColumns) -> None:
+    """One JSON object per tree node, in the columns' order: by node name.
+
+    The bytes are those of ``json.dumps`` with ``separators=(",", ":")``.
+    Each line is formatted once, with ``repr`` for the names and
+    coordinates, ``_CHUNK`` lines at a time: the numbers of a chunk are
+    taken out of the arrays by ``tolist``, or, for in-process entries'
+    columns, from the entries' own coordinate objects (so an int stays an
+    int), and its lines are joined and written.
+    """
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        for start in range(0, len(columns.names), _CHUNK):
+            fh.write(_tree_lines(columns, slice(start, start + _CHUNK)))
+
+
+def _tree_lines(columns: TreeColumns, rows: slice) -> str:
+    if columns.values is None:
+        box, lt, gt = columns.rects[:, :, rows].transpose(1, 0, 2).tolist()
+    else:
+        values = columns.values[rows]
+        box = zip(*(v.box[1:] for v in values))
+        lt = zip(*(v.lt_region or _NO_REGION for v in values))
+        gt = zip(*(v.gt_region or _NO_REGION for v in values))
+    lt_names, gt_names = columns.children[rows].T.tolist()
+    text = "".join(map(_tree_line, columns.names[rows].tolist(), *box, lt_names, *lt, gt_names, *gt))
     # repr writes the non-finite floats as nan, inf and -inf, where JSON
     # writes NaN, Infinity and -Infinity; no key and no finite number
     # contains either spelling
-    return line.replace("nan", "NaN").replace("inf", "Infinity")
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
-def write_tree_jsonl(path: str, entries: Iterable[TreeGraphEntry]) -> None:
-    """One JSON object per tree node, lines sorted by node name.
+_NO_REGION = (None,) * 4
 
-    Each line is formatted once, with ``repr`` for the names and the int
-    or float coordinates, and the lines are streamed to the file; the
-    bytes are those of ``json.dumps`` with ``separators=(",", ":")``.
-    """
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines(map(_tree_line, sorted(entries, key=itemgetter(0))))
+
+def _tree_line(name, b0, b1, b2, b3, lt, l0, l1, l2, l3, gt, g0, g1, g2, g3) -> str:
+    # no child is None in object columns and -1 in int64 columns
+    lt = "null" if lt is None or lt == -1 else f'{{"name":{lt!r},"region":[{l0!r},{l1!r},{l2!r},{l3!r}]}}'
+    gt = "null" if gt is None or gt == -1 else f'{{"name":{gt!r},"region":[{g0!r},{g1!r},{g2!r},{g3!r}]}}'
+    return f'{{"name":{name!r},"box":[{b0!r},{b1!r},{b2!r},{b3!r}],"lt":{lt},"gt":{gt}}}\n'
 
 
 def _node_name(value) -> int:
@@ -250,12 +326,30 @@ def _line_kinds(data: bytes) -> Optional[Tuple[np.ndarray, np.ndarray]]:
 
 def _numbers(text: bytes, expected: int, name: np.ndarray) -> Optional[np.ndarray]:
     """The numbers of ``text``, if there are ``expected`` of them, each a
-    finite JSON number and those at ``name`` names; None otherwise."""
+    finite JSON number or one ``repr`` writes with an exponent, and those
+    at ``name`` names; None otherwise.
+
+    ``text`` holds the numbers between spaces, with a space before the
+    first and two after the last.
+    """
     chars = np.frombuffer(text, np.uint8)
     number = chars != 32
     token = np.flatnonzero(number[1:] > number[:-1]) + 1  # where each number starts
     del number
     if len(token) != expected:  # a number slot was empty
+        return None
+    # an exponent as repr writes it, after a digit: "e", a sign and a
+    # digit ("1e5" and "+1" are not); never in a name
+    exponent = np.flatnonzero(chars == ord("e"))
+    sign = chars[exponent + 1]
+    if not (_digits(chars[exponent - 1]) & ((sign == ord("+")) | (sign == ord("-")))).all():
+        return None
+    if not _digits(chars[exponent + 2]).all():
+        return None
+    if np.isin(np.searchsorted(token, exponent, side="right") - 1, name).any():
+        return None
+    del exponent, sign
+    if not (chars[np.flatnonzero(chars == ord("+")) - 1] == ord("e")).all():
         return None
     # JSON refuses what float parsing takes: a leading 0 ("01", "-01")
     # and a "." without a digit on each side ("1.", ".5", "-.5")
@@ -268,10 +362,11 @@ def _numbers(text: bytes, expected: int, name: np.ndarray) -> Optional[np.ndarra
         return None
     del dots
     try:
-        values = np.fromstring(text, sep=" ", count=expected)
-    except ValueError:  # a number it cannot read, such as "-" or "1-2"
+        # without a count, so that all of the text must be read
+        values = np.fromstring(text, sep=" ")
+    except ValueError:  # a number it cannot read, such as "-", "1-2" or "1.2.3"
         return None
-    if not np.isfinite(values).all():
+    if len(values) != expected or not np.isfinite(values).all():
         return None
     # a name is an integer in [0, 2^53) spelled with its digits only: no
     # other spelling of it ("5.0", "-0") is as short

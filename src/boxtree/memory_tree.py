@@ -2,17 +2,26 @@
 
 The boxes are presorted once by the x_min and y_min super keys
 (coordinate, then name). The build then follows Brown's presort
-algorithm on numpy index arrays, one tree level at a time: a box's index
-is its position in the x_min order, and both orders hold the level's
-segments, one per node, with the same bounds. Each segment's median in
-the split order is its node's box; the other order is partitioned
-stably around it by rank, which preserves both sort orders all the way
-down and gives an O(n log n) build without median finding. The regions
-are then merged bottom-up, one vectorized pass per level, carrying the
-index of the box that holds each extreme, so a region holds the boxes'
-own coordinate objects. The build emits the program's one tree
-representation: (name, TreeNodeValue) entries in pre-order that name
-each node's children and their regions.
+algorithm on numpy index arrays, one tree level at a time: both orders
+hold the level's segments, one per node, with the same bounds. Each
+segment's median in the split order is its node's box; the other order
+is partitioned stably around it by rank, which preserves both sort
+orders all the way down and gives an O(n log n) build without median
+finding. The regions are then merged bottom-up, one vectorized pass per
+level, carrying the index of the box that holds each extreme.
+
+That one build core (``_build``) has two outputs:
+
+- ``column_tree``: boxes as columns (``BoxColumns``, as
+  ``io.read_boxes_csv`` reads them), presorted by ``np.lexsort``, to the
+  tree's raw columns in name order (``TreeColumns``), which
+  ``io.write_tree_jsonl`` formats and the search checks. No Python
+  object is made per box or node; ``boxtree build`` takes this path.
+- ``build_memory_tree``: boxes presorted by ``presort`` to
+  (name, TreeNodeValue) entries in pre-order, root first, which name
+  each node's children and their regions. It is the view the engine
+  build and in-process trees use, and its boxes and regions hold the
+  boxes' own objects (an int coordinate stays an int, even beyond 2^53).
 """
 
 from __future__ import annotations
@@ -25,8 +34,11 @@ import numpy as np
 from .geometry import AXIS_XMIN, AXIS_YMIN, Box, Region, ensure_unique_names
 
 __all__ = [
+    "BoxColumns",
+    "TreeColumns",
     "TreeNodeValue",
     "TreeGraphEntry",
+    "column_tree",
     "presort",
     "build_memory_tree",
     "tree_depth",
@@ -53,6 +65,41 @@ class TreeNodeValue(NamedTuple):
 TreeGraphEntry = Tuple[int, TreeNodeValue]
 
 
+class BoxColumns(NamedTuple):
+    """Boxes as columns, in file order.
+
+    The names are int64, or Python ints (dtype object) once a name
+    reaches 2^63.
+    """
+
+    names: np.ndarray  # (n,)
+    coords: np.ndarray  # (4, n) float64: x_min, y_min, x_max, y_max
+
+    def boxes(self) -> List[Box]:
+        """The boxes as ``Box`` objects, for the callers that need them."""
+        return list(map(Box, self.names.tolist(), *self.coords.tolist()))
+
+
+class TreeColumns(NamedTuple):
+    """A tree's nodes as raw columns, names ascending, not yet checked.
+
+    Columns read from a tree file or built by ``column_tree`` hold int64
+    names, -1 where there is no child, unless a name reaches 2^63; then,
+    and in the columns of in-process entries, they hold the name objects,
+    None where there is no child. ``values`` is None but in the columns
+    of in-process entries (``distributed_search.entry_columns``), where it
+    holds the entries' own TreeNodeValues, in name order, whose coordinate
+    objects the writer formats.
+    """
+
+    names: np.ndarray  # (n,)
+    # (4, 3, n): per coordinate, of the box, lt region and gt region (NaN
+    # where there is no child), so a search pass gathers contiguous rows
+    rects: np.ndarray
+    children: np.ndarray  # (n, 2): the lt and gt child names
+    values: Optional[Sequence[TreeNodeValue]] = None
+
+
 def presort(boxes: Sequence[Box]) -> Tuple[List[Box], List[Box]]:
     """Sort the boxes independently by the x_min and y_min super keys.
 
@@ -74,8 +121,9 @@ def build_memory_tree(
 
     The split axis cycles x_min, y_min with depth (x_min at even depths).
     The median of a length-n array is index n // 2. Every region holds
-    the boxes' own coordinate objects, compared and chosen as
-    ``merge_region`` would.
+    the boxes' own coordinate objects; of equal extremes it holds the
+    first found, looking at the node's own box, then its lt subtree, then
+    its gt subtree.
 
     Returns the (name, TreeNodeValue) entries in pre-order, root first;
     an empty list for empty input.
@@ -83,28 +131,68 @@ def build_memory_tree(
     n = len(x_sorted)
     if n == 0:
         return []
-    ranks, y_order = _ranks(x_sorted, y_sorted)
-    node_box, links, levels = _subdivide(ranks, y_order, depth)
+    # a box's index is its position in x_sorted
+    index = dict(zip(map(itemgetter(0), x_sorted), range(n)))
+    y_order = np.fromiter(map(index.__getitem__, map(itemgetter(0), y_sorted)), np.intp, n)
+    coords = np.stack([np.fromiter(map(itemgetter(k + 1), x_sorted), object, n) for k in range(4)])
+    node_box, links, extremes = _build(coords, np.arange(n), y_order, depth)
     # each ends in a None, which a link of -1 picks
-    regions = np.append(_subtree_regions(x_sorted, node_box, links, levels), None)
+    corners = np.take_along_axis(coords, extremes, 1)
+    regions = np.append(np.fromiter(map(Region, *corners), object, n), None)
     names = np.append(np.fromiter(map(itemgetter(0), x_sorted), object, n)[node_box], None)
     boxes = np.fromiter(x_sorted, object, n)[node_box]
     children = [column[link] for link in links for column in (names, regions)]
     return list(zip(names[:n], map(TreeNodeValue, boxes, *children)))
 
 
-def _ranks(x_sorted, y_sorted):
-    """Each box's rank in the x and in the y order, and the y order.
+def column_tree(boxes: BoxColumns, depth: int = 0) -> TreeColumns:
+    """Build the balanced tree of boxes with unique names, as raw columns
+    in name order.
 
-    A box's index is its position in ``x_sorted``, so the x order is
-    0..n-1 and a box's x rank is its index.
+    The tree of ``build_memory_tree(*presort(boxes.boxes()), depth)``,
+    the first of equal extremes included, on the float64 coordinates:
+    ``np.lexsort`` presorts the columns, and the build's box indices pick
+    each node's name, box and child regions.
     """
-    n = len(x_sorted)
-    index = dict(zip(map(itemgetter(0), x_sorted), range(n)))
-    y_order = np.fromiter(map(index.__getitem__, map(itemgetter(0), y_sorted)), np.intp, n)
+    names, coords = boxes
+    n = len(names)
+    rects = np.full((4, 3, n), np.nan)
+    children = np.full((n, 2), None if names.dtype == object else -1, dtype=names.dtype)
+    if n == 0:
+        return TreeColumns(names, rects, children)
+    x_order = np.lexsort((names, coords[AXIS_XMIN]))
+    y_order = np.lexsort((names, coords[AXIS_YMIN]))
+    node_box, links, extremes = _build(coords, x_order, y_order, depth)
+    pre_names = names[node_box]
+    by_name = np.argsort(pre_names, kind="stable")  # pre-order positions in name order
+    rects[:, 0] = coords[:, node_box[by_name]]
+    for side, link in enumerate(links):
+        child = link[by_name]
+        has = child >= 0
+        rects[:, 1 + side, has] = np.take_along_axis(coords, extremes[:, child[has]], 1)
+        children[has, side] = pre_names[child[has]]
+    return TreeColumns(pre_names[by_name], rects, children)
+
+
+def _build(coords, x_order, y_order, depth):
+    """The tree of the boxes ``coords[:, i]``, given their x and y
+    super-key orders (box indices, ascending).
+
+    The build core of both outputs. Returns, by pre-order position, each
+    node's box index, its lt and gt positions (-1 where there is no
+    child) and, per coordinate, the index of the box holding its subtree
+    region's extreme.
+    """
+    n = x_order.size
+    # the subdivision takes a box's position in the x order as its index
+    x_rank = np.empty(n, np.intp)
+    x_rank[x_order] = np.arange(n)
+    y_in_x = x_rank[y_order]
     ranks = (np.arange(n), np.empty(n, np.intp))
-    ranks[AXIS_YMIN][y_order] = ranks[AXIS_XMIN]
-    return ranks, y_order
+    ranks[AXIS_YMIN][y_in_x] = ranks[AXIS_XMIN]
+    at, links, levels = _subdivide(ranks, y_in_x, depth)
+    node_box = x_order[at]
+    return node_box, links, _subtree_extremes(coords, node_box, links, levels)
 
 
 def _subdivide(ranks, y_order, depth):
@@ -163,19 +251,18 @@ def _partition_level(order, rank, pivots, sizes):
     return np.delete(moved, np.cumsum(sizes) - sizes + sizes // 2)
 
 
-def _subtree_regions(x_sorted, node_box, links, levels):
-    """Each node's subtree region, by pre-order position.
+def _subtree_extremes(coords, node_box, links, levels):
+    """Per coordinate, the index of the box holding the extreme of each
+    node's subtree region, by pre-order position.
 
-    Merged bottom-up, one level at a time, as ``merge_region`` merges: a
-    node's own box, then its lt and its gt subtree, each replacing an
-    extreme found so far only when strictly beyond it. What is carried is
-    the index of the box holding each extreme, and the comparisons are
-    the coordinate objects' own (a double would round an int beyond
-    2^53), so a region holds the boxes' own coordinate objects.
+    Merged bottom-up, one level at a time: a node's own box, then its lt
+    and its gt subtree, each replacing an extreme found so far only when
+    strictly beyond it. What is carried is the index of the box holding
+    each extreme, and the comparisons are those of ``coords``' own
+    elements: an object array compares the coordinate objects (a double
+    would round an int beyond 2^53).
     """
     n = node_box.size
-    coords = np.stack([np.fromiter(map(itemgetter(k + 1), x_sorted), object, n)
-                       for k in range(4)])
     extremes = np.empty((4, n), np.intp)
     for pre in reversed(levels):
         best = np.tile(node_box[pre], (4, 1))
@@ -188,15 +275,21 @@ def _subtree_regions(x_sorted, node_box, links, levels):
             beyond = np.vstack((new[:2] < now[:2], new[2:] > now[2:]))
             best[:, has] = np.where(beyond, candidate, found)
         extremes[:, pre] = best
-    return np.fromiter(map(Region, *np.take_along_axis(coords, extremes, 1)), object, n)
+    return extremes
 
 
 def tree_depth(entries: Sequence[TreeGraphEntry]) -> int:
-    """Levels of the tree rooted at the first entry (0 for none, 1 for a leaf)."""
+    """Levels of the tree rooted at the first entry (0 for none, 1 for a leaf).
+
+    Raises ValueError once the walk down passes ``len(entries)`` levels,
+    which only a cycle makes it do.
+    """
     by_name = dict(entries)
     level = [entries[0][0]] if entries else []
     depth = 0
     while level:
+        if depth == len(entries):
+            raise ValueError(f"the entries below node {entries[0][0]} form a cycle")
         values = [by_name[name] for name in level]
         level = [c for v in values for c in (v.lt_name, v.gt_name) if c is not None]
         depth += 1

@@ -1,7 +1,7 @@
 import json
 import random
 
-from boxtree.geometry import Box
+from boxtree.geometry import Box, Region
 
 
 def random_boxes(n, seed, lo=0.0, hi=1000.0, max_side=50.0):
@@ -15,6 +15,26 @@ def random_boxes(n, seed, lo=0.0, hi=1000.0, max_side=50.0):
             Box(name, x0, y0, x0 + rng.uniform(0, max_side), y0 + rng.uniform(0, max_side))
         )
     return out
+
+
+def merge_region(box, children=()):
+    """Region that just encloses ``box`` and up to two child regions: the
+    reference merge the builds' regions are checked against.
+
+    Coordinate-wise min of the mins and max of the maxes; with no children
+    the region equals the box itself.
+    """
+    x_min, y_min, x_max, y_max = box.x_min, box.y_min, box.x_max, box.y_max
+    for r in children:
+        if r.x_min < x_min:
+            x_min = r.x_min
+        if r.y_min < y_min:
+            y_min = r.y_min
+        if r.x_max > x_max:
+            x_max = r.x_max
+        if r.y_max > y_max:
+            y_max = r.y_max
+    return Region(x_min, y_min, x_max, y_max)
 
 
 def _node(name, box, lt=None, gt=None):

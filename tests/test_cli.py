@@ -1,10 +1,14 @@
 import pytest
 
-from boxtree import distributed_search, io
+from boxtree import cli, distributed_search, io, memory_tree
 from boxtree.cli import main
+from boxtree.distributed_search import entry_columns
+from boxtree.distributed_tree import build_distributed_tree
+from boxtree.engine import Engine, EngineConfig
 from boxtree.geometry import Box
+from boxtree.testdata import SquareGridSpec, generate_test_data
 
-from conftest import BAD_TREES
+from conftest import BAD_TREES, random_boxes
 
 
 def run(argv):
@@ -15,7 +19,7 @@ class TestGen:
     def test_writes_boxes(self, tmp_path, capsys):
         out = tmp_path / "boxes.csv"
         assert run(["gen", "--squares", 3, "--out", out]) == 0
-        assert len(io.read_boxes_csv(out)) == 48
+        assert len(io.read_boxes_csv(out).names) == 48
 
     def test_bad_square_count_exits_2(self, tmp_path):
         assert run(["gen", "--squares", 0, "--out", tmp_path / "x.csv"]) == 2
@@ -69,11 +73,29 @@ class TestBuildSearchPipeline:
         assert code == 0
         assert "verification: ok" in capsys.readouterr().out
 
+    def test_build_makes_no_object_per_node(self, tmp_path, boxes_csv, monkeypatch, capsys):
+        # at cutoff 0 the box CSV is read whole into columns, built on arrays
+        # and written from them: no Box, Region, TreeNodeValue or entry is made
+        expected = tmp_path / "expected.jsonl"
+        assert run(["build", "--in", boxes_csv, "--workers", 2, "--out", expected]) == 0
+
+        def refuse(*args):
+            raise AssertionError("a per-row or per-node object was made")
+
+        for owner, name in ((io, "_read_rows"), (io, "Box"), (memory_tree, "Box"),
+                            (memory_tree, "Region"), (memory_tree, "TreeNodeValue"),
+                            (memory_tree, "presort"), (memory_tree, "build_memory_tree"),
+                            (cli, "build_distributed_tree"), (cli, "entry_columns")):
+            monkeypatch.setattr(owner, name, refuse)
+        tree = tmp_path / "tree.jsonl"
+        assert run(["build", "--in", boxes_csv, "--workers", 2, "--out", tree]) == 0
+        assert tree.read_bytes() == expected.read_bytes()
+
     def test_verification_failure_exits_1(self, tmp_path, boxes_csv, capsys):
         tree, queries = tmp_path / "tree.jsonl", tmp_path / "queries.csv"
         run(["build", "--in", boxes_csv, "--workers", 1, "--out", tree])
         # query 0 moved from square 0 onto its twin in square 1
-        boxes = io.read_boxes_csv(boxes_csv)
+        boxes = io.read_boxes_csv(boxes_csv).boxes()
         boxes[0] = boxes[0]._replace(x_min=boxes[0].x_min + 100.0, x_max=boxes[0].x_max + 100.0)
         io.write_boxes_csv(queries, boxes)
         code = run([
@@ -88,7 +110,7 @@ class TestBuildSearchPipeline:
         run(["build", "--in", boxes_csv, "--workers", 1, "--out", tree])
         # a 65th query that meets nothing leaves the results of the 4 squares
         # as they are, but 65 queries are not a whole number of squares
-        io.write_boxes_csv(queries, io.read_boxes_csv(boxes_csv) + [Box(64, -9.0, -9.0, -8.0, -8.0)])
+        io.write_boxes_csv(queries, io.read_boxes_csv(boxes_csv).boxes() + [Box(64, -9.0, -9.0, -8.0, -8.0)])
         code = run([
             "search", "--tree", tree, "--queries", queries,
             "--workers", 1, "--out", tmp_path / "r.csv", "--verify",
@@ -147,7 +169,58 @@ class TestBuildSearchPipeline:
         assert exc.value.code == 2
 
 
+# Box sets whose tree files the CLI writes as the entry build's writer does
+CLI_BOX_SETS = {
+    "grid": generate_test_data(SquareGridSpec(6)),
+    "random": random_boxes(300, seed=9),
+    # ties of -0.0 with 0.0, the smallest subnormal and floats written with
+    # an exponent, which the whole-file parse reads
+    "awkward": [Box(name, *xy) for name, xy in enumerate([
+        (-0.0, 0.0, 0.0, 1.0), (0.0, -0.0, 1.0, 0.0), (-0.0, -0.0, -0.0, -0.0),
+        (5e-324, 0.0, 1e16, 5e-324), (-1e22, -1e-7, 0.0, 1e300), (0.0, 5e-324, 2.5, 1e16),
+        (-0.0, 1.5, 0.0, 2.5), (1e-7, -0.0, 1e22, 0.0)])],
+    # names beyond 64 bits, which take the row parser
+    "big-names": [Box(2**64 + 3 * b.name if b.name % 2 else b.name, *b[1:])
+                  for b in random_boxes(40, seed=4)],
+}
+
+
+class TestBuildFile:
+    @pytest.mark.parametrize("cutoff", [0, 2])
+    @pytest.mark.parametrize("case", sorted(CLI_BOX_SETS))
+    def test_tree_file_is_the_entry_builds(self, tmp_path, case, cutoff):
+        boxes_csv, tree, expected = tmp_path / "boxes.csv", tmp_path / "tree.jsonl", tmp_path / "e.jsonl"
+        io.write_boxes_csv(boxes_csv, CLI_BOX_SETS[case])
+        assert run(["build", "--in", boxes_csv, "--workers", 2, "--cutoff-depth", cutoff,
+                    "--out", tree]) == 0
+        with Engine(EngineConfig(workers=1)) as engine:
+            entries = build_distributed_tree(CLI_BOX_SETS[case], engine, cutoff).collect()
+        io.write_tree_jsonl(expected, entry_columns(entries))
+        assert tree.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("cutoff", [0, 2])
+    def test_header_only_csv_builds_an_empty_tree_file(self, tmp_path, capsys, cutoff):
+        boxes_csv, tree = tmp_path / "boxes.csv", tmp_path / "tree.jsonl"
+        boxes_csv.write_text(io.BOX_CSV_HEADER + "\n")
+        assert run(["build", "--in", boxes_csv, "--workers", 1, "--cutoff-depth", cutoff,
+                    "--out", tree]) == 0
+        assert tree.read_bytes() == b""
+        assert "wrote 0 tree nodes" in capsys.readouterr().out
+
+
 class TestBenchAndFit:
+    @pytest.mark.parametrize("repeats", [0, -2])
+    @pytest.mark.parametrize("kind", ["build", "search", "scaling"])
+    def test_bench_refuses_repeats_below_1(self, tmp_path, capsys, kind, repeats):
+        out = tmp_path / "bench.csv"
+        if kind == "scaling":
+            sizes = ["--exp", 4, "--max-workers", 3]
+        else:
+            sizes = ["--min-exp", 4, "--max-exp", 5, "--workers", 1]
+        assert run(["bench", kind, *sizes, "--repeats", repeats, "--out", out]) == 2
+        assert f"repeats must be >= 1, got {repeats}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_build_then_fit(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code = run([

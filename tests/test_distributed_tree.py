@@ -16,7 +16,6 @@ from boxtree.geometry import (
     Box,
     DuplicateNameError,
     Region,
-    merge_region,
     superkey,
 )
 from boxtree.memory_tree import build_memory_tree, presort
@@ -27,7 +26,7 @@ from boxtree.distributed_tree import (
     region_from_sorted,
 )
 
-from conftest import random_boxes
+from conftest import merge_region, random_boxes
 
 
 @pytest.fixture(scope="module")

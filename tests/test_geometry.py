@@ -7,7 +7,6 @@ from boxtree.geometry import (
     SuperKey,
     boxes_intersect,
     ensure_unique_names,
-    merge_region,
     superkey,
     validate_box,
     DuplicateNameError,
@@ -16,6 +15,8 @@ from boxtree.geometry import (
     AXIS_XMAX,
     AXIS_YMAX,
 )
+
+from conftest import merge_region
 
 
 def box(name, x0, y0, x1, y1):

@@ -39,7 +39,7 @@ class TestBoxCsv:
         boxes = random_boxes(50, seed=1)
         path = tmp_path / "boxes.csv"
         io.write_boxes_csv(path, boxes)
-        assert io.read_boxes_csv(path) == boxes
+        assert io.read_boxes_csv(path).boxes() == boxes
 
     def test_awkward_floats_survive(self, tmp_path):
         from boxtree.geometry import Box
@@ -47,7 +47,7 @@ class TestBoxCsv:
         boxes = [Box(0, 0.1, 1e-17, 1.0 / 3.0, 12345678.000000001)]
         path = tmp_path / "boxes.csv"
         io.write_boxes_csv(path, boxes)
-        assert io.read_boxes_csv(path) == boxes
+        assert io.read_boxes_csv(path).boxes() == boxes
 
     def test_generation_is_byte_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -95,6 +95,111 @@ class TestBoxCsv:
         path.write_text(f"{io.BOX_CSV_HEADER}\n0,0.0,0.0,1.0,1.0\n{row}\n")
         with pytest.raises(ValueError, match=r"bad\.csv:3: "):
             io.read_boxes_csv(path)
+
+
+# A good row, then each bad row as line 3: the message the row parser
+# refuses it with, whichever parser sees the file first
+BAD_CSV_ROWS = {
+    "-1,0.0,0.0,1.0,1.0": "a name must be ASCII digits, got '-1'",
+    ",0.0,0.0,1.0,1.0": "a name must be ASCII digits, got ''",
+    "1.0,0.0,0.0,1.0,1.0": "a name must be ASCII digits, got '1.0'",
+    "1e+3,0.0,0.0,1.0,1.0": "a name must be ASCII digits, got '1e+3'",
+    "0,0.0,0.0,1.0,1.0": "repeated box name 0",
+    "1,2.0,0.0,1.0,1.0": "box 1 has inverted extents: (2.0, 0.0, 1.0, 1.0)",
+    "1,0.0,2.0,1.0,1.0": "box 1 has inverted extents: (0.0, 2.0, 1.0, 1.0)",
+    "1,nan,0.0,1.0,1.0": "box 1 has a non-finite coordinate: (nan, 0.0, 1.0, 1.0)",
+    "1,0.0,0.0,inf,1.0": "box 1 has a non-finite coordinate: (0.0, 0.0, inf, 1.0)",
+    "1,0.0,0.0,1e400,1.0": "box 1 has a non-finite coordinate: (0.0, 0.0, inf, 1.0)",
+    "1,-1e400,0.0,1.0,1.0": "box 1 has a non-finite coordinate: (-inf, 0.0, 1.0, 1.0)",
+    "1,0.0,0.0,1.0": "expected 5 fields, got 4",
+    "1,0.0,0.0,1.0,1.0,2.0": "expected 5 fields, got 6",
+    **{f"1,0.0,0.0,1.0,{number}": f"could not convert string to float: '{number}'"
+       for number in ["", "x", "1.2.3", "1-2", "-", "1e", "1e+", "0x10", "--1", "1.0e+5.5", "+-1"]},
+}
+
+# valid files spelled otherwise than write_boxes_csv spells them
+HAND_EDITED_CSV = {
+    "crlf": "0,0.0,0.0,1.0,1.0\r\n1,2.0,2.0,3.0,3.0\r\n",
+    "blank-lines": "\n0,0.0,0.0,1.0,1.0\n\n1,2.0,2.0,3.0,3.0\n\n",
+    "no-final-newline": "0,0.0,0.0,1.0,1.0\n1,2.0,2.0,3.0,3.0",
+    "exponent-without-sign": "0,0.0,0.0,1e5,1.0\n1,2.0,2.0,3.0,3.0\n",
+    "capital-exponent": "0,0.0,0.0,1E+5,1.0\n1,2.0,2.0,3.0,3.0\n",
+    "name-of-2^53": f"{2**53},0.0,0.0,1.0,1.0\n1,2.0,2.0,3.0,3.0\n",
+    "name-of-2^63": f"{2**63},0.0,0.0,1.0,1.0\n1,2.0,2.0,3.0,3.0\n",
+    "leading-zero-name": "007,0.0,0.0,1.0,1.0\n1,2.0,2.0,3.0,3.0\n",
+    "leading-zero-number": "0,00.5,0.0,1.0,1.0\n1,2.0,2.0,3.0,3.0\n",
+    "plus-sign": "0,+0.5,0.0,1.0,1.0\n1,2.0,2.0,3.0,3.0\n",
+    "bare-dots": "0,.5,0.0,1.,1.0\n1,2.0,2.0,3.0,3.0\n",
+}
+
+
+def assert_same_boxes(got, expected):
+    """Equal box columns: the same names, of the same types, and the same
+    coordinates, -0.0 apart from 0.0."""
+    assert got.names.dtype == expected.names.dtype
+    assert got.names.tolist() == expected.names.tolist()
+    assert got.coords.shape == expected.coords.shape == (4, len(expected.names))
+    assert np.array_equal(got.coords, expected.coords)
+    assert np.array_equal(np.signbit(got.coords), np.signbit(expected.coords))
+
+
+def _sorted_pair(pair):
+    return tuple(sorted(pair))
+
+
+_csv_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, 1.7976931348623157e308, 1e-7]),
+)
+_csv_boxes = st.lists(
+    st.tuples(st.integers(0, 2**53 - 1),
+              st.tuples(_csv_numbers, _csv_numbers).map(_sorted_pair),
+              st.tuples(_csv_numbers, _csv_numbers).map(_sorted_pair)),
+    max_size=8, unique_by=lambda box: box[0],
+).map(lambda rows: [Box(name, x[0], y[0], x[1], y[1]) for name, x, y in rows])
+
+
+class TestBoxCsvColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(boxes=_csv_boxes)
+    @example(boxes=[Box(2**53 - 1, -0.0, 5e-324, 0.0, 1e22), Box(0, -1e16, -0.0, 1e-7, 0.0),
+                    Box(7, 0.0, -0.0, 1.7976931348623157e308, 0.0)])
+    def test_whole_file_parse_equals_the_row_parser(self, tmp_path_factory, boxes):
+        path = tmp_path_factory.mktemp("csv") / "boxes.csv"
+        io.write_boxes_csv(path, boxes)
+        columns = io._parse_boxes(path)
+        assert columns is not None
+        assert_same_boxes(columns, io._read_box_rows(path))
+        assert columns.boxes() == boxes
+
+    @pytest.mark.parametrize("case", sorted(HAND_EDITED_CSV))
+    def test_hand_edited_file_takes_the_row_parser(self, tmp_path, case):
+        path = tmp_path / "boxes.csv"
+        path.write_text(f"{io.BOX_CSV_HEADER}\n{HAND_EDITED_CSV[case]}")
+        assert io._parse_boxes(path) is None
+        assert_same_boxes(io.read_boxes_csv(path), io._read_box_rows(path))
+
+    def test_names_beyond_64_bits_are_python_ints(self, tmp_path):
+        path = tmp_path / "boxes.csv"
+        io.write_boxes_csv(path, [Box(2**63, 0.0, 0.0, 1.0, 1.0), Box(5, 0.0, 0.0, 1.0, 1.0)])
+        names = io.read_boxes_csv(path).names
+        assert names.dtype == object and names.tolist() == [2**63, 5]
+
+    def test_header_only_file_has_no_boxes(self, tmp_path):
+        path = tmp_path / "boxes.csv"
+        path.write_text(io.BOX_CSV_HEADER + "\n")
+        columns = io.read_boxes_csv(path)
+        assert columns.names.dtype == np.int64
+        assert columns.names.shape == (0,) and columns.coords.shape == (4, 0)
+
+    @pytest.mark.parametrize("row", sorted(BAD_CSV_ROWS))
+    def test_bad_row_is_refused_with_its_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{io.BOX_CSV_HEADER}\n0,0.0,0.0,1.0,1.0\n{row}\n")
+        assert io._parse_boxes(path) is None
+        with pytest.raises(ValueError) as refused:
+            io.read_boxes_csv(path)
+        assert str(refused.value) == f"{path}:3: {BAD_CSV_ROWS[row]}"
 
 
 def json_dumps_tree(entries) -> bytes:
@@ -187,7 +292,7 @@ class TestTreeJsonl:
         with Engine(EngineConfig(workers=1)) as engine:
             entries = build_distributed_tree(boxes, engine, 2).collect()
         path = tmp_path / "tree.jsonl"
-        io.write_tree_jsonl(path, entries)
+        io.write_tree_jsonl(path, entry_columns(entries))
         assert_same_columns(io.read_tree_jsonl(path), entry_columns(entries))
 
     def test_built_tree_is_read_whole(self, tmp_path, monkeypatch):
@@ -196,7 +301,7 @@ class TestTreeJsonl:
         with Engine(EngineConfig(workers=1)) as engine:
             entries = build_distributed_tree(boxes, engine, 0).collect()
         path = tmp_path / "tree.jsonl"
-        io.write_tree_jsonl(path, entries)
+        io.write_tree_jsonl(path, entry_columns(entries))
         monkeypatch.setattr(io, "_read_tree_lines", None)  # the line parser is not called
         assert_same_columns(io.read_tree_jsonl(path), entry_columns(entries))
 
@@ -205,7 +310,7 @@ class TestTreeJsonl:
         with Engine(EngineConfig(workers=1)) as engine:
             entries = build_distributed_tree(boxes, engine, 0).collect()
         path = tmp_path / "tree.jsonl"
-        io.write_tree_jsonl(path, entries)
+        io.write_tree_jsonl(path, entry_columns(entries))
         names = [int(line.split(":")[1].split(",")[0]) for line in path.read_text().splitlines()]
         assert names == sorted(names)
 
@@ -224,7 +329,7 @@ class TestTreeJsonl:
                      (2**63, (-0.0, float("-inf"), 1e-7, float("nan"))))])
     def test_columns_equal_the_line_parsers(self, tmp_path_factory, nodes):
         path = tmp_path_factory.mktemp("tree") / "tree.jsonl"
-        io.write_tree_jsonl(path, _entries(nodes))
+        io.write_tree_jsonl(path, entry_columns(_entries(nodes)))
         assert_same_columns(io.read_tree_jsonl(path), line_parser_columns(path))
 
     @settings(max_examples=100, deadline=None)
@@ -233,7 +338,7 @@ class TestTreeJsonl:
                     (0, (0, 0.5, 1e15, 3), None, (2**53 - 1, (-0.0, 1, 2, 3)))])
     def test_plain_files_are_read_whole(self, tmp_path_factory, nodes):
         path = tmp_path_factory.mktemp("tree") / "tree.jsonl"
-        io.write_tree_jsonl(path, _entries(nodes))
+        io.write_tree_jsonl(path, entry_columns(_entries(nodes)))
         assert io._parse_written(path) is not None
         assert_same_columns(io.read_tree_jsonl(path), line_parser_columns(path))
 
@@ -252,8 +357,17 @@ class TestTreeJsonl:
     def test_bytes_equal_json_dumps(self, tmp_path_factory, nodes):
         entries = _entries(nodes)
         path = tmp_path_factory.mktemp("tree") / "tree.jsonl"
-        io.write_tree_jsonl(path, entries)
+        io.write_tree_jsonl(path, entry_columns(entries))
         assert path.read_bytes() == json_dumps_tree(entries)
+
+    @pytest.mark.parametrize("number", ["1.2.3", "1.0.0", "1-2"])
+    def test_malformed_last_number_rejected(self, tmp_path, number):
+        # the file's last number, which the whole-file parse must read to its end
+        path = tmp_path / "tree.jsonl"
+        path.write_text(f"{_LINE_1}\n{_LINE_2.replace('1.0,1.0]', f'1.0,{number}]')}\n")
+        assert io._parse_written(path) is None
+        with pytest.raises(ValueError, match=r"tree\.jsonl:2: malformed tree entry: "):
+            io.read_tree_jsonl(path)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "tree.jsonl"

@@ -1,14 +1,27 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from boxtree import memory_tree
 from boxtree.engine import Engine, EngineConfig
-from boxtree.geometry import AXIS_XMIN, Box, DuplicateNameError, Region, merge_region, superkey
-from boxtree.memory_tree import TreeNodeValue, build_memory_tree, presort, tree_depth
+from boxtree.geometry import AXIS_XMIN, Box, DuplicateNameError, Region, superkey
+from boxtree.distributed_search import entry_columns
+from boxtree.memory_tree import (
+    BoxColumns,
+    TreeNodeValue,
+    build_memory_tree,
+    column_tree,
+    presort,
+    tree_depth,
+)
 
-from conftest import random_boxes
+from conftest import merge_region, random_boxes
 
 
 def build(boxes):
@@ -156,6 +169,48 @@ class TestEqualsReferenceBuild:
         assert repr(entries) == repr(reference_build(*presort(boxes)))
 
 
+def box_columns(boxes):
+    """The columns of float boxes, as the box CSV reader returns them."""
+    names = [b.name for b in boxes]
+    wide = any(name >= 2**63 for name in names)
+    coords = np.array([b[1:] for b in boxes], float).reshape(-1, 4).T.copy()
+    return BoxColumns(np.array(names, dtype=object if wide else np.int64), coords)
+
+
+def float_boxes(make):
+    def boxes(n, seed):
+        return [Box(b.name, *map(float, b[1:])) for b in make(n, seed)]
+    return boxes
+
+
+class TestColumnTree:
+    # the column build makes the tree of the entry build, in name order:
+    # the same names, boxes, child names and regions (-0.0 apart from 0.0)
+    @pytest.mark.parametrize("make", [random_boxes, float_boxes(tied_boxes), float_boxes(big_name_boxes)])
+    def test_equals_the_entry_build(self, make):
+        for n in [*range(40), 2**10]:
+            boxes = make(n, seed=n)
+            for depth in (0, 1):
+                got = column_tree(box_columns(boxes), depth)
+                want = entry_columns(build_memory_tree(*presort(boxes), depth))
+                absent = None if got.names.dtype == object else -1
+                assert got.names.tolist() == want.names.tolist(), f"n={n} depth={depth}"
+                assert [[None if c == absent else c for c in pair] for pair in got.children.tolist()] \
+                    == want.children.tolist()
+                assert np.array_equal(got.rects, want.rects, equal_nan=True)
+                assert np.array_equal(np.signbit(got.rects), np.signbit(want.rects))
+                assert got.values is None
+
+    def test_int64_names_for_int64_input(self):
+        got = column_tree(box_columns(random_boxes(5, seed=1)))
+        assert got.names.dtype == got.children.dtype == np.int64
+
+    def test_empty_input(self):
+        got = column_tree(box_columns([]))
+        assert got.names.shape == (0,) and got.rects.shape == (4, 3, 0)
+        assert got.children.shape == (0, 2)
+
+
 class TestBuild:
     def test_single_box_leaf(self):
         b = Box(3, 1.0, 2.0, 3.0, 4.0)
@@ -240,6 +295,35 @@ class TestTreeDepth:
             (2, TreeNodeValue(Box(2, *unit), None, None, None, None)),
         ]
         assert tree_depth(chain) == 3
+
+
+# 0 -> 1 -> 0, each box and region [0, 0, 1, 1]
+CYCLIC_TREE_DEPTH = """
+from boxtree.geometry import Box, Region
+from boxtree.memory_tree import TreeNodeValue, tree_depth
+
+unit = Region(0.0, 0.0, 1.0, 1.0)
+entries = [(name, TreeNodeValue(Box(name, *unit), child, unit, None, None))
+           for name, child in ((0, 1), (1, 0))]
+try:
+    tree_depth(entries)
+except ValueError as exc:
+    print("refused:", exc)
+"""
+
+
+def test_cyclic_entries_are_refused_not_walked_forever():
+    # in a subprocess, so a walk that never ends fails the test instead of hanging it
+    src = str(Path(memory_tree.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", CYCLIC_TREE_DEPTH],
+            capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src},
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("tree_depth was still walking after 30 s on a cyclic entry list")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused:"), proc.stdout
 
 
 class CountingFloat(float):
