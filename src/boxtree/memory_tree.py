@@ -66,7 +66,7 @@ TreeGraphEntry = Tuple[int, TreeNodeValue]
 
 
 class BoxColumns(NamedTuple):
-    """Boxes as columns, in file order.
+    """Boxes as columns, as ``io.read_boxes_csv`` reads them in file order.
 
     The names are int64, or Python ints (dtype object) once a name
     reaches 2^63.
@@ -145,12 +145,12 @@ def build_memory_tree(
     return list(zip(names[:n], map(TreeNodeValue, boxes, *children)))
 
 
-def column_tree(boxes: BoxColumns, depth: int = 0) -> TreeColumns:
+def column_tree(boxes: BoxColumns) -> TreeColumns:
     """Build the balanced tree of boxes with unique names, as raw columns
     in name order.
 
-    The tree of ``build_memory_tree(*presort(boxes.boxes()), depth)``,
-    the first of equal extremes included, on the float64 coordinates:
+    The tree of ``build_memory_tree(*presort(boxes.boxes()))``, the first
+    of equal extremes included, on the float64 coordinates:
     ``np.lexsort`` presorts the columns, and the build's box indices pick
     each node's name, box and child regions.
     """
@@ -162,7 +162,7 @@ def column_tree(boxes: BoxColumns, depth: int = 0) -> TreeColumns:
         return TreeColumns(names, rects, children)
     x_order = np.lexsort((names, coords[AXIS_XMIN]))
     y_order = np.lexsort((names, coords[AXIS_YMIN]))
-    node_box, links, extremes = _build(coords, x_order, y_order, depth)
+    node_box, links, extremes = _build(coords, x_order, y_order, 0)
     pre_names = names[node_box]
     by_name = np.argsort(pre_names, kind="stable")  # pre-order positions in name order
     rects[:, 0] = coords[:, node_box[by_name]]

@@ -188,18 +188,17 @@ class TestColumnTree:
     # the same names, boxes, child names and regions (-0.0 apart from 0.0)
     @pytest.mark.parametrize("make", [random_boxes, float_boxes(tied_boxes), float_boxes(big_name_boxes)])
     def test_equals_the_entry_build(self, make):
-        for n in [*range(40), 2**10]:
+        for n in [*range(65), 2**10]:
             boxes = make(n, seed=n)
-            for depth in (0, 1):
-                got = column_tree(box_columns(boxes), depth)
-                want = entry_columns(build_memory_tree(*presort(boxes), depth))
-                absent = None if got.names.dtype == object else -1
-                assert got.names.tolist() == want.names.tolist(), f"n={n} depth={depth}"
-                assert [[None if c == absent else c for c in pair] for pair in got.children.tolist()] \
-                    == want.children.tolist()
-                assert np.array_equal(got.rects, want.rects, equal_nan=True)
-                assert np.array_equal(np.signbit(got.rects), np.signbit(want.rects))
-                assert got.values is None
+            got = column_tree(box_columns(boxes))
+            want = entry_columns(build_memory_tree(*presort(boxes)))
+            absent = None if got.names.dtype == object else -1
+            assert got.names.tolist() == want.names.tolist(), f"n={n}"
+            assert [[None if c == absent else c for c in pair] for pair in got.children.tolist()] \
+                == want.children.tolist()
+            assert np.array_equal(got.rects, want.rects, equal_nan=True)
+            assert np.array_equal(np.signbit(got.rects), np.signbit(want.rects))
+            assert got.values is None
 
     def test_int64_names_for_int64_input(self):
         got = column_tree(box_columns(random_boxes(5, seed=1)))
