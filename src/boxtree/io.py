@@ -352,11 +352,13 @@ def _numbers(text: bytes, expected: int, name: np.ndarray) -> Optional[np.ndarra
     if not (chars[np.flatnonzero(chars == ord("+")) - 1] == ord("e")).all():
         return None
     # JSON refuses what float parsing takes: a leading 0 ("01", "-01")
-    # and a "." without a digit on each side ("1.", ".5", "-.5")
-    lead = token + (chars[token] == ord("-"))
-    if ((chars[lead] == ord("0")) & _digits(chars[lead + 1])).any():
+    # and a "." without a digit on each side ("1.", ".5", "-.5"); and it
+    # reads "-0" as the integer 0, where float parsing reads -0.0
+    minus = chars[token] == ord("-")
+    lead = token + minus
+    if ((chars[lead] == ord("0")) & (_digits(chars[lead + 1]) | minus & (chars[lead + 1] == 32))).any():
         return None
-    del lead
+    del minus, lead
     dots = np.flatnonzero(chars == ord("."))
     if not (_digits(chars[dots - 1]) & _digits(chars[dots + 1])).all():
         return None

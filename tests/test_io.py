@@ -282,6 +282,8 @@ HAND_EDITED = {
     "name-beyond-2^53": [_LINE_1.replace('"name":1', f'"name":{2**53}'),
                          _LINE_2.replace('"name":1', f'"name":{2**53}')],
     "unsorted": [_LINE_2, _LINE_1],
+    # the integer 0, which float parsing would read as -0.0
+    "minus-zero-integer": [_LINE_1, _LINE_2.replace("[0.0,0.0,", "[-0,0.0,")],
     "crlf": [_LINE_1 + "\r", _LINE_2 + "\r"],
 }
 
