@@ -13,24 +13,24 @@ TreeNodeValue) entries, which the check first zips into raw columns
 (``io.read_tree_jsonl``) and searched as a one-element dataset holding
 them (``file_tree``). Raw columns are numpy arrays over node positions
 (name order, so a node's position is its name's rank) of the names, the
-boxes with the child regions, and the child names. From there both
-forms take one path: the check maps child names to positions and checks
-the columns with array passes: in-degrees by ``bincount``, reachability
-by a level walk down from the root, and each subtree's tight region
-bottom-up, one level at a time. The checked columns are kept on the tree
-dataset
+boxes with the child regions, and the child names, -1 for no child; the
+names and child names are one ``memory_tree.name_column`` in both forms.
+From there both forms take one path: the check maps child names to
+positions by binary search and checks the columns with array passes:
+in-degrees by ``bincount``, reachability by a level walk down from the
+root, and each subtree's tight region bottom-up, one level at a time.
+The checked columns are kept on the tree dataset
 (``PartitionedDataset.cached``) as a one-element dataset keyed by the
 root's name, so every later pass and search of the same dataset reuses
 them.
 
 The queries come as (name, box) items, or as box columns
-(``column_queries``, as ``boxtree search`` reads its query file), and
-travel as frontier blocks, at first one per query partition (per worker
-for columns):
-positions of live queries in the search's query arrays and of the nodes
-they visit next (none in the first blocks, which start at the root),
-every block keyed by the root's name. Each pass is one join of the
-frontier blocks to the column block (a broadcast join). Its visitor
+(``column_queries``, as ``boxtree search`` reads its query file). Both
+become box columns, and travel as frontier blocks, at first one per
+worker: positions of live queries in the search's query arrays and of
+the nodes they visit next (none in the first blocks, which start at the
+root), every block keyed by the root's name. Each pass is one join of
+the frontier blocks to the column block (a broadcast join). Its visitor
 tests the visits with numpy gathers, one coordinate at a time, and emits
 blocks of (query, node) intersection pairs and next frontier blocks: for
 each visit, the lt child and then the gt child, where the query meets
@@ -49,7 +49,7 @@ import numpy as np
 
 from .engine import Engine, PairDataset, PartitionedDataset
 from .geometry import Box, validate_box
-from .memory_tree import BoxColumns, TreeColumns, TreeGraphEntry
+from .memory_tree import BoxColumns, TreeColumns, TreeGraphEntry, name_column
 
 __all__ = [
     "TreeColumns",
@@ -89,13 +89,6 @@ class _Queries:
         # index of each query's name among them
         self.names, self.ids = np.unique(names, return_inverse=True)
         self.box = np.ascontiguousarray(box, float)  # (4, m)
-
-    @classmethod
-    def of_items(cls, items: Sequence[Tuple[int, tuple]]) -> "_Queries":
-        """The queries of (name, box) items, names as Python objects."""
-        coordinates = chain.from_iterable(map(itemgetter(slice(1, None)), map(itemgetter(1), items)))
-        box = np.fromiter(coordinates, float, 4 * len(items)).reshape(-1, 4).T
-        return cls(np.array([name for name, _ in items], dtype=object), box)
 
 
 class _Block(NamedTuple):
@@ -151,16 +144,15 @@ def _to_columns(tree_ds: PairDataset) -> PairDataset:
 def entry_columns(entries: Sequence[TreeGraphEntry]) -> TreeColumns:
     """The raw columns of (name, TreeNodeValue) entries, in name order.
 
-    Refuses an entry whose box has another name and a child that has a
-    name without a region or the reverse; ``_check`` does the rest. The
-    entries' values are kept on the columns, for the writer.
+    Refuses an entry whose box has another name, a child that has a name
+    without a region or the reverse, and a negative name, which -1, "no
+    child", would shadow; ``_check`` does the rest.
     """
     entries = sorted(entries, key=itemgetter(0))
     n = len(entries)
     rects = np.full((4, 3, n), np.nan)
-    children = np.empty((n, 2), dtype=object)
     if not entries:
-        return TreeColumns(np.array([], dtype=object), rects, children)
+        return TreeColumns(name_column([]), rects, np.empty((0, 2), np.int64))
     names, values = zip(*entries)
     boxes, lt_names, lt_regions, gt_names, gt_regions = zip(*values)
     if names != tuple(map(itemgetter(0), boxes)):
@@ -168,6 +160,8 @@ def entry_columns(entries: Sequence[TreeGraphEntry]) -> TreeColumns:
         raise ValueError(f"tree entry {name} holds the box of node {box[0]}")
     coordinates = chain.from_iterable(map(itemgetter(slice(1, None)), boxes))
     rects[:, 0] = np.fromiter(coordinates, float, 4 * n).reshape(n, 4).T
+    all_names = list(names)  # then the lt children's, then the gt children's
+    links = []
     for side, child_names, regions in ((0, lt_names, lt_regions), (1, gt_names, gt_regions)):
         present = list(map(is_not, child_names, repeat(None)))
         if present != list(map(is_not, regions, repeat(None))):
@@ -176,13 +170,20 @@ def entry_columns(entries: Sequence[TreeGraphEntry]) -> TreeColumns:
         has = np.array(present, dtype=bool)
         coordinates = chain.from_iterable(compress(regions, present))
         rects[:, 1 + side, has] = np.fromiter(coordinates, float, 4 * int(has.sum())).reshape(-1, 4).T
-        children[:, side] = child_names
-    return TreeColumns(np.array(names, dtype=object), rects, children, values)
+        all_names.extend(compress(child_names, present))
+        links.append(has)
+    # one column, so that a child named beyond int64 widens the names too
+    column = name_column(all_names)
+    if (column < 0).any():
+        raise ValueError(f"tree node name {min(column.tolist())} is negative")
+    children = np.full((n, 2), -1, dtype=column.dtype)
+    children.T[np.array(links)] = column[n:]
+    return TreeColumns(column[:n], rects, children)
 
 
 def _check(columns: TreeColumns) -> _Tree:
     """The checked tree of non-empty raw columns; see ``tree_root_name``."""
-    names, rects, child_names = columns[:3]
+    names, rects, child_names = columns
     n = len(names)
     box = rects[:, 0]
     valid = np.isfinite(box).all(axis=0) & (box[0] <= box[2]) & (box[1] <= box[3])
@@ -240,15 +241,9 @@ def _check(columns: TreeColumns) -> _Tree:
 def _child_positions(names: np.ndarray, child_names: np.ndarray) -> np.ndarray:
     """(n, 2) child positions: -1 for no child, -2 for a name without an entry.
 
-    Looked up in a dict for Python-int names (in-process trees and files
-    the line parser read), by binary search for a tree file's int64 names.
+    Looked up by binary search in the ascending names, of either dtype.
     """
     n = len(names)
-    if names.dtype == object:
-        position = dict(zip(names.tolist(), range(n)))
-        position[None] = -1
-        link = np.fromiter(map(position.get, child_names.ravel().tolist(), repeat(-2)), np.intp, 2 * n)
-        return link.reshape(n, 2)
     at = np.searchsorted(names, child_names).clip(max=n - 1)
     return np.where(names[at] == child_names, at, np.where(child_names < 0, -1, -2))
 
@@ -270,29 +265,27 @@ def tree_root_name(tree_ds: PairDataset) -> Optional[int]:
 
 
 def init_queries(search_ds: PairDataset, root_name: Optional[int]) -> PairDataset:
-    """Turn each partition of (name, box) queries into one frontier block
-    keyed by the root's name, with no node array: every query is at the root.
-
-    A ``column_queries`` dataset's boxes become one block per worker.
+    """Turn the (name, box) queries, or a ``column_queries`` dataset's
+    boxes, into one frontier block per worker, keyed by the root's name,
+    with no node array: every query is at the root.
     """
-    if search_ds.is_empty():
-        return search_ds
-    if root_name is None:
-        raise ValueError("cannot start a non-empty search against an empty tree")
     items = search_ds.collect()
     if len(items) == 1 and isinstance(items[0][1], BoxColumns):
-        queries = _Queries(*items[0][1])
-        base, extra = divmod(len(queries.ids), search_ds.engine.config.workers)
-        sizes = [base + (i < extra) for i in range(search_ds.engine.config.workers)]
+        boxes = items[0][1]
     else:
-        queries = _Queries.of_items(items)
-        sizes = list(map(len, search_ds.partitions))
-    blocks = []
-    start = 0
-    for size in sizes:
-        end = start + size
-        blocks.append(((root_name, _Block(queries, np.arange(start, end), None)),) if size else ())
-        start = end
+        coordinates = chain.from_iterable(map(itemgetter(slice(1, None)), map(itemgetter(1), items)))
+        boxes = BoxColumns(
+            name_column([name for name, _ in items]),
+            np.fromiter(coordinates, float, 4 * len(items)).reshape(-1, 4).T,
+        )
+    count = len(boxes.names)
+    if count and root_name is None:
+        raise ValueError("cannot start a non-empty search against an empty tree")
+    queries = _Queries(*boxes)
+    blocks = [
+        ((root_name, _Block(queries, block, None)),) if len(block) else ()
+        for block in np.array_split(np.arange(count), search_ds.engine.config.workers)
+    ]
     return PartitionedDataset(search_ds.engine, blocks)
 
 

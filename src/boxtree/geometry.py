@@ -9,7 +9,7 @@ names are integers, so super keys give a strict total order.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Tuple
 
 __all__ = [
     "AXIS_XMIN",
@@ -18,7 +18,6 @@ __all__ = [
     "AXIS_YMAX",
     "Box",
     "Region",
-    "SuperKey",
     "DuplicateNameError",
     "superkey",
     "boxes_intersect",
@@ -54,25 +53,18 @@ class Region(NamedTuple):
     y_max: float
 
 
-class SuperKey(NamedTuple):
-    """A (coordinate, name) sort key.
-
-    Comparison is lexicographic, coordinate first, so any set of boxes with
-    unique names is strictly totally ordered in every axis even when
-    coordinates collide.
-    """
-
-    coordinate: float
-    name: int
-
-
 class DuplicateNameError(ValueError):
     """A box collection contains two boxes with the same name."""
 
 
-def superkey(box: Box, axis: int) -> SuperKey:
-    """Super key of ``box`` along ``axis`` (one of the AXIS_* constants)."""
-    return SuperKey(box[axis + 1], box[0])
+def superkey(box: Box, axis: int) -> Tuple[float, int]:
+    """Super key of ``box`` along ``axis`` (one of the AXIS_* constants).
+
+    The (coordinate, name) tuple compares lexicographically, coordinate
+    first, so any set of boxes with unique names is strictly totally
+    ordered in every axis even when coordinates collide.
+    """
+    return box[axis + 1], box[0]
 
 
 def boxes_intersect(a: Box | Region, b: Box | Region) -> bool:

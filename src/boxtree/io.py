@@ -4,32 +4,35 @@ Floats are written with repr-style shortest round-trip formatting, so a
 write/read cycle reproduces every value bit-exactly and generation is
 byte-deterministic. Every file is written in one pass, one f-string per
 line; tree-file lines are JSON, with the bytes ``json.dumps`` would
-write. Readers check each line's syntax and names, each box and that no
-name repeats in box CSVs, that no query repeats in result CSVs, and each
-record's values in bench CSVs.
+write. Readers refuse a non-ASCII byte, and check each line's syntax and
+names, each box and that no name repeats in box CSVs, that no query
+repeats in result CSVs, and each record's values in bench CSVs.
 
 A box CSV is read into columns (``memory_tree.BoxColumns``) and a tree
 file into the search's raw columns (``distributed_search.TreeColumns``),
 not into per-row or per-node objects: a file as ``write_boxes_csv`` or
 ``write_tree_jsonl`` writes it is parsed whole with numpy, and any other
 file, or one a check refuses, goes through a line-by-line parser, which
-reports the first bad line with its number. The tree writer formats raw
-columns, as ``memory_tree.column_tree`` builds them, a chunk of lines at
-a time. Whether tree columns form one searchable tree is checked by the
-search itself (``distributed_search.tree_root_name``).
+reports the first bad line with its number. Either way the names are a
+``memory_tree.name_column`` (int64 below 2^63), with -1 for "no child".
+The tree writer formats raw columns, as ``memory_tree.column_tree``
+builds them, a chunk of lines at a time; it writes the float64 columns
+only, so every box and region it writes must be finite, as those of a
+box CSV are. Whether tree columns form one searchable tree is checked
+by the search itself (``distributed_search.tree_root_name``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .distributed_search import entry_columns
 from .geometry import Box, Region, validate_box
-from .memory_tree import BoxColumns, TreeColumns, TreeGraphEntry, TreeNodeValue
+from .memory_tree import BoxColumns, TreeColumns, TreeGraphEntry, TreeNodeValue, name_column
 
 __all__ = [
     "BOX_CSV_HEADER",
@@ -56,6 +59,20 @@ def write_boxes_csv(path: str, boxes: Sequence[Box]) -> None:
             fh.write(f"{b.name},{b.x_min!r},{b.y_min!r},{b.x_max!r},{b.y_max!r}\n")
 
 
+def _ascii_lines(path: str) -> Iterator[Tuple[int, str]]:
+    """The numbered lines of a text file, from 1; a line with a non-ASCII
+    byte is refused with its ``path:line``."""
+    # decoding the whole read-ahead buffer at once would refuse a bad byte
+    # before its line is reached, with no line number
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                column = next(i for i, c in enumerate(line) if not c.isascii())
+                byte = ord(line[column]) - 0xDC00  # surrogateescape's code for the byte
+                raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{byte:02x} at column {column + 1}")
+            yield lineno, line
+
+
 def _read_rows(path: str, header: str, nfields: int, parse: Callable[[List[str]], Any]) -> List:
     """``parse`` applied to each row's fields, after the header; blank lines skipped.
 
@@ -65,23 +82,23 @@ def _read_rows(path: str, header: str, nfields: int, parse: Callable[[List[str]]
     prefixed with ``path:line``.
     """
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        first = fh.readline().strip()
-        if first != header:
-            raise ValueError(f"{path}: expected header {header!r}, got {first!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            try:
-                if len(fields) != nfields:
-                    raise ValueError(f"expected {nfields} fields, got {len(fields)}")
-                if "_" in line or " " in line or "\t" in line:
-                    raise ValueError("'_', space or tab in a field")
-                rows.append(parse(fields))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    lines = _ascii_lines(path)
+    first = next(lines, (1, ""))[1].strip()
+    if first != header:
+        raise ValueError(f"{path}: expected header {header!r}, got {first!r}")
+    for lineno, line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        try:
+            if len(fields) != nfields:
+                raise ValueError(f"expected {nfields} fields, got {len(fields)}")
+            if "_" in line or " " in line or "\t" in line:
+                raise ValueError("'_', space or tab in a field")
+            rows.append(parse(fields))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return rows
 
 
@@ -120,10 +137,8 @@ def _read_box_rows(path: str) -> BoxColumns:
         return box
 
     boxes = _read_rows(path, BOX_CSV_HEADER, 5, parse)
-    names = [box[0] for box in boxes]
-    dtype = object if names and max(names) >= 2**63 else np.int64
     coords = np.array([box[1:] for box in boxes], float).reshape(-1, 4).T.copy()
-    return BoxColumns(np.array(names, dtype=dtype), coords)
+    return BoxColumns(name_column([box[0] for box in boxes]), coords)
 
 
 _BOX_HEAD = (BOX_CSV_HEADER + "\n").encode("ascii")
@@ -177,12 +192,12 @@ _CHUNK = 4096
 def write_tree_jsonl(path: str, columns: TreeColumns) -> None:
     """One JSON object per tree node, in the columns' order: by node name.
 
-    The bytes are those of ``json.dumps`` with ``separators=(",", ":")``.
-    Each line is formatted once, with ``repr`` for the names and
-    coordinates, ``_CHUNK`` lines at a time: the numbers of a chunk are
-    taken out of the arrays by ``tolist``, or, for in-process entries'
-    columns, from the entries' own coordinate objects (so an int stays an
-    int), and its lines are joined and written.
+    The boxes and the regions of the children must be finite, as every
+    box CSV's are. The bytes are those of ``json.dumps`` with
+    ``separators=(",", ":")``. Each line is formatted once, with ``repr``
+    for the names and coordinates, ``_CHUNK`` lines at a time: the numbers
+    of a chunk are taken out of the arrays by ``tolist``, and its lines
+    are joined and written.
     """
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for start in range(0, len(columns.names), _CHUNK):
@@ -190,28 +205,14 @@ def write_tree_jsonl(path: str, columns: TreeColumns) -> None:
 
 
 def _tree_lines(columns: TreeColumns, rows: slice) -> str:
-    if columns.values is None:
-        box, lt, gt = columns.rects[:, :, rows].transpose(1, 0, 2).tolist()
-    else:
-        values = columns.values[rows]
-        box = zip(*(v.box[1:] for v in values))
-        lt = zip(*(v.lt_region or _NO_REGION for v in values))
-        gt = zip(*(v.gt_region or _NO_REGION for v in values))
+    box, lt, gt = columns.rects[:, :, rows].transpose(1, 0, 2).tolist()
     lt_names, gt_names = columns.children[rows].T.tolist()
-    text = "".join(map(_tree_line, columns.names[rows].tolist(), *box, lt_names, *lt, gt_names, *gt))
-    # repr writes the non-finite floats as nan, inf and -inf, where JSON
-    # writes NaN, Infinity and -Infinity; no key and no finite number
-    # contains either spelling
-    return text.replace("nan", "NaN").replace("inf", "Infinity")
-
-
-_NO_REGION = (None,) * 4
+    return "".join(map(_tree_line, columns.names[rows].tolist(), *box, lt_names, *lt, gt_names, *gt))
 
 
 def _tree_line(name, b0, b1, b2, b3, lt, l0, l1, l2, l3, gt, g0, g1, g2, g3) -> str:
-    # no child is None in object columns and -1 in int64 columns
-    lt = "null" if lt is None or lt == -1 else f'{{"name":{lt!r},"region":[{l0!r},{l1!r},{l2!r},{l3!r}]}}'
-    gt = "null" if gt is None or gt == -1 else f'{{"name":{gt!r},"region":[{g0!r},{g1!r},{g2!r},{g3!r}]}}'
+    lt = "null" if lt == -1 else f'{{"name":{lt!r},"region":[{l0!r},{l1!r},{l2!r},{l3!r}]}}'
+    gt = "null" if gt == -1 else f'{{"name":{gt!r},"region":[{g0!r},{g1!r},{g2!r},{g3!r}]}}'
     return f'{{"name":{name!r},"box":[{b0!r},{b1!r},{b2!r},{b3!r}],"lt":{lt},"gt":{gt}}}\n'
 
 
@@ -387,20 +388,19 @@ def _read_tree_lines(path: str) -> List[TreeGraphEntry]:
     each, and non-negative integer node names.
     """
     entries: List[TreeGraphEntry] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                name = _node_name(obj["name"])
-                box = Box(name, *_four_numbers(obj["box"]))
-                lt_name, lt_region = _child_fields(obj["lt"])
-                gt_name, gt_region = _child_fields(obj["gt"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed tree entry: {exc}") from exc
-            entries.append((name, TreeNodeValue(box, lt_name, lt_region, gt_name, gt_region)))
+    for lineno, line in _ascii_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            name = _node_name(obj["name"])
+            box = Box(name, *_four_numbers(obj["box"]))
+            lt_name, lt_region = _child_fields(obj["lt"])
+            gt_name, gt_region = _child_fields(obj["gt"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed tree entry: {exc}") from exc
+        entries.append((name, TreeNodeValue(box, lt_name, lt_region, gt_name, gt_region)))
     return entries
 
 

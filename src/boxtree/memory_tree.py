@@ -17,6 +17,9 @@ That one build core (``_build``) has two outputs:
   tree's raw columns in name order (``TreeColumns``), which
   ``io.write_tree_jsonl`` formats and the search checks. No Python
   object is made per box or node; ``boxtree build`` takes this path.
+  Every name column, wherever it is made, follows ``name_column``:
+  int64, or Python ints once a name reaches 2^63, with -1 for "no
+  child" in either.
 - ``build_memory_tree``: boxes presorted by ``presort`` to
   (name, TreeNodeValue) entries in pre-order, root first, which name
   each node's children and their regions. It is the view the engine
@@ -38,6 +41,7 @@ __all__ = [
     "TreeColumns",
     "TreeNodeValue",
     "TreeGraphEntry",
+    "name_column",
     "column_tree",
     "presort",
     "build_memory_tree",
@@ -65,14 +69,20 @@ class TreeNodeValue(NamedTuple):
 TreeGraphEntry = Tuple[int, TreeNodeValue]
 
 
-class BoxColumns(NamedTuple):
-    """Boxes as columns, as ``io.read_boxes_csv`` reads them in file order.
+def name_column(names: Sequence[int]) -> np.ndarray:
+    """Non-negative int names as a column: int64, or dtype object (the
+    Python ints) once a name reaches 2^63, which int64 cannot hold.
 
-    The names are int64, or Python ints (dtype object) once a name
-    reaches 2^63.
+    A column of node names and their child names must be made in one call,
+    so that a child named beyond int64 makes the node names objects too.
     """
+    return np.array(names, dtype=object if len(names) and max(names) >= 2**63 else np.int64)
 
-    names: np.ndarray  # (n,)
+
+class BoxColumns(NamedTuple):
+    """Boxes as columns, as ``io.read_boxes_csv`` reads them in file order."""
+
+    names: np.ndarray  # (n,), a name_column
     coords: np.ndarray  # (4, n) float64: x_min, y_min, x_max, y_max
 
     def boxes(self) -> List[Box]:
@@ -83,13 +93,9 @@ class BoxColumns(NamedTuple):
 class TreeColumns(NamedTuple):
     """A tree's nodes as raw columns, names ascending, not yet checked.
 
-    Columns read from a tree file or built by ``column_tree`` hold int64
-    names, -1 where there is no child, unless a name reaches 2^63; then,
-    and in the columns of in-process entries, they hold the name objects,
-    None where there is no child. ``values`` is None but in the columns
-    of in-process entries (``distributed_search.entry_columns``), where it
-    holds the entries' own TreeNodeValues, in name order, whose coordinate
-    objects the writer formats.
+    The names and child names are one ``name_column``, -1 where there is
+    no child, whether read from a tree file, built by ``column_tree`` or
+    zipped from in-process entries (``distributed_search.entry_columns``).
     """
 
     names: np.ndarray  # (n,)
@@ -97,7 +103,6 @@ class TreeColumns(NamedTuple):
     # where there is no child), so a search pass gathers contiguous rows
     rects: np.ndarray
     children: np.ndarray  # (n, 2): the lt and gt child names
-    values: Optional[Sequence[TreeNodeValue]] = None
 
 
 def presort(boxes: Sequence[Box]) -> Tuple[List[Box], List[Box]]:
@@ -157,7 +162,7 @@ def column_tree(boxes: BoxColumns) -> TreeColumns:
     names, coords = boxes
     n = len(names)
     rects = np.full((4, 3, n), np.nan)
-    children = np.full((n, 2), None if names.dtype == object else -1, dtype=names.dtype)
+    children = np.full((n, 2), -1, dtype=names.dtype)
     if n == 0:
         return TreeColumns(names, rects, children)
     x_order = np.lexsort((names, coords[AXIS_XMIN]))

@@ -54,6 +54,8 @@ BAD_TREES = {
     "non-numeric-coordinate": [_node(0, ("a", 0.0, 1.0, 1.0))],
     "duplicate-name": [_node(0, UNIT, lt=(1, UNIT)), _node(1, UNIT), _node(1, UNIT)],
     "dangling-child": [_node(0, UNIT, lt=(99, UNIT))],
+    # names below 2^63 but for a child's: the names column must hold it too
+    "dangling-child-beyond-int64": [_node(0, UNIT, lt=(2**63, UNIT)), _node(5, UNIT)],
     "no-root": [_node(0, UNIT, lt=(1, UNIT)), _node(1, UNIT, lt=(2, UNIT)),
                 _node(2, UNIT, lt=(0, UNIT))],
     "two-roots": [_node(0, UNIT), _node(1, UNIT)],

@@ -138,6 +138,14 @@ class TestBuildSearchPipeline:
                     "--workers", 1, "--out", tmp_path / "r.csv"])
         assert code == 2
 
+    def test_no_queries_against_an_empty_tree(self, tmp_path):
+        boxes, tree, results = tmp_path / "boxes.csv", tmp_path / "tree.jsonl", tmp_path / "r.csv"
+        boxes.write_text(io.BOX_CSV_HEADER + "\n")
+        assert run(["build", "--in", boxes, "--workers", 2, "--out", tree]) == 0
+        assert run(["search", "--tree", tree, "--queries", boxes,
+                    "--workers", 2, "--out", results]) == 0
+        assert results.read_text() == "query,matches\n"
+
     def test_repeated_query_name_exits_2(self, tmp_path, capsys):
         boxes, tree = tmp_path / "boxes.csv", tmp_path / "tree.jsonl"
         queries, results = tmp_path / "queries.csv", tmp_path / "r.csv"

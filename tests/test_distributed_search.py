@@ -215,6 +215,9 @@ BAD_VALUES = {
     "child-without-region": [_unit_node(0, lt=(1, None)), _unit_node(1)],
     "region-without-child": [_unit_node(0, lt=(None, Region(0.0, 0.0, 1.0, 1.0)))],
     "key-not-box-name": [_unit_node(0, box_name=7)],
+    # -1 is "no child" in the columns; a tree file's names are refused below 0
+    "negative-name": [_unit_node(0, lt=(-1, Region(0.0, 0.0, 1.0, 1.0))), _unit_node(-1)],
+    "negative-child-name": [_unit_node(0, lt=(-1, Region(0.0, 0.0, 1.0, 1.0)))],
 }
 
 

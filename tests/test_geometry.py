@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from boxtree.geometry import (
     Box,
     Region,
-    SuperKey,
     boxes_intersect,
     ensure_unique_names,
     superkey,
@@ -109,9 +108,9 @@ class TestSuperKey:
     @pytest.mark.parametrize(
         "a,b,expect",
         [
-            (SuperKey(5.0, 1), SuperKey(7.0, 0), -1),
-            (SuperKey(5.0, 1), SuperKey(5.0, 2), -1),
-            (SuperKey(5.0, 2), SuperKey(5.0, 1), 1),
+            ((5.0, 1), (7.0, 0), -1),
+            ((5.0, 1), (5.0, 2), -1),
+            ((5.0, 2), (5.0, 1), 1),
         ],
     )
     def test_examples(self, a, b, expect):
@@ -119,7 +118,7 @@ class TestSuperKey:
 
     @given(st.lists(st.tuples(st.floats(-100, 100), st.integers(0, 50)), min_size=3, max_size=3, unique_by=lambda t: t[1]))
     def test_strict_total_order(self, triples):
-        keys = [SuperKey(c, n) for c, n in triples]
+        keys = [superkey(Box(n, c, c, c, c), AXIS_XMIN) for c, n in triples]
         a, b, c = keys
         # irreflexive / antisymmetric
         for k in keys:
@@ -135,10 +134,11 @@ class TestSuperKey:
 
     def test_superkey_extraction_per_axis(self):
         b = box(9, 1, 2, 3, 4)
-        assert superkey(b, AXIS_XMIN) == SuperKey(1.0, 9)
-        assert superkey(b, AXIS_YMIN) == SuperKey(2.0, 9)
-        assert superkey(b, AXIS_XMAX) == SuperKey(3.0, 9)
-        assert superkey(b, AXIS_YMAX) == SuperKey(4.0, 9)
+        assert superkey(b, AXIS_XMIN) == (1.0, 9)
+        assert superkey(b, AXIS_YMIN) == (2.0, 9)
+        assert superkey(b, AXIS_XMAX) == (3.0, 9)
+        assert superkey(b, AXIS_YMAX) == (4.0, 9)
+        assert type(superkey(b, AXIS_XMIN)) is tuple
 
 
 class TestValidation:

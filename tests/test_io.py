@@ -11,7 +11,9 @@ from boxtree.engine import Engine, EngineConfig
 from boxtree.geometry import Box, Region
 from boxtree.distributed_search import entry_columns
 from boxtree.distributed_tree import build_distributed_tree
-from boxtree.memory_tree import TreeNodeValue
+from boxtree.memory_tree import (
+    BoxColumns, TreeNodeValue, build_memory_tree, column_tree, name_column, presort,
+)
 from boxtree.testdata import SquareGridSpec, generate_test_data
 
 from conftest import BAD_TREES, PARSE_ERRORS, random_boxes
@@ -151,12 +153,16 @@ _csv_numbers = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, 1.7976931348623157e308, 1e-7]),
 )
-_csv_boxes = st.lists(
-    st.tuples(st.integers(0, 2**53 - 1),
-              st.tuples(_csv_numbers, _csv_numbers).map(_sorted_pair),
-              st.tuples(_csv_numbers, _csv_numbers).map(_sorted_pair)),
-    max_size=8, unique_by=lambda box: box[0],
-).map(lambda rows: [Box(name, x[0], y[0], x[1], y[1]) for name, x, y in rows])
+def _boxes_named(names):
+    return st.lists(
+        st.tuples(names,
+                  st.tuples(_csv_numbers, _csv_numbers).map(_sorted_pair),
+                  st.tuples(_csv_numbers, _csv_numbers).map(_sorted_pair)),
+        max_size=8, unique_by=lambda box: box[0],
+    ).map(lambda rows: [Box(name, x[0], y[0], x[1], y[1]) for name, x, y in rows])
+
+
+_csv_boxes = _boxes_named(st.integers(0, 2**53 - 1))
 
 
 class TestBoxCsvColumns:
@@ -220,15 +226,20 @@ def _child(link):
     return (None, None) if link is None else (link[0], Region(*link[1]))
 
 
-_numbers = st.one_of(
-    st.floats(),  # NaN and both infinities included
-    st.integers(),
-    st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 2**63, -(2**70)]),
-)
+def _nodes_of(numbers, names):
+    rects = st.tuples(numbers, numbers, numbers, numbers)
+    links = st.none() | st.tuples(names, rects)
+    return st.tuples(names, rects, links, links)
+
+
 _names = st.integers(min_value=0, max_value=2**70)
-_rects = st.tuples(_numbers, _numbers, _numbers, _numbers)
-_links = st.none() | st.tuples(_names, _rects)
-_nodes = st.tuples(_names, _rects, _links, _links)
+# any JSON number: NaN, both infinities and ints beyond 2^53 included
+_nodes = _nodes_of(st.one_of(st.floats(), st.integers(),
+                             st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 2**63, -(2**70)])), _names)
+# the finite floats that write_tree_jsonl writes
+_finite_nodes = _nodes_of(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                    st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 2.0**63, -(2.0**70)])),
+                          _names)
 
 
 def _entries(nodes):
@@ -237,18 +248,15 @@ def _entries(nodes):
 
 
 def assert_same_columns(got, expected):
-    """Equal raw columns: the same name ints, the same coordinates (NaN
-    equal to NaN, -0.0 apart from 0.0) and the same child names."""
-
-    def children(columns):
-        absent = None if columns.children.dtype == object else -1
-        return [[None if c == absent else c for c in pair] for pair in columns.children.tolist()]
-
+    """Equal raw columns: the same name ints and child names (-1 for no
+    child), all of one dtype, and the same coordinates (NaN equal to NaN,
+    -0.0 apart from 0.0)."""
+    assert got.names.dtype == got.children.dtype == expected.names.dtype == expected.children.dtype
     assert got.names.tolist() == expected.names.tolist()
     assert {type(name) for name in got.names.tolist()} <= {int}
     assert np.array_equal(got.rects, expected.rects, equal_nan=True)
     assert np.array_equal(np.signbit(got.rects), np.signbit(expected.rects))
-    assert children(got) == children(expected)
+    assert got.children.tolist() == expected.children.tolist()
 
 
 def line_parser_columns(path):
@@ -256,17 +264,14 @@ def line_parser_columns(path):
     return entry_columns(io._read_tree_lines(path))
 
 
-# numbers and names that write_tree_jsonl writes without an exponent, the
+# numbers and names that json.dumps writes without an exponent, the
 # spelling read_tree_jsonl parses whole
 _plain_numbers = st.one_of(
     st.integers(-(2**70), 2**70),
     st.floats(-1e15, 1e15).filter(lambda x: "e" not in repr(x)),
     st.sampled_from([-0.0, 0.0, 0.1, 1e15]),
 )
-_plain_names = st.integers(min_value=0, max_value=2**53 - 1)
-_plain_rects = st.tuples(_plain_numbers, _plain_numbers, _plain_numbers, _plain_numbers)
-_plain_links = st.none() | st.tuples(_plain_names, _plain_rects)
-_plain_nodes = st.tuples(_plain_names, _plain_rects, _plain_links, _plain_links)
+_plain_nodes = _nodes_of(_plain_numbers, st.integers(min_value=0, max_value=2**53 - 1))
 
 # a valid tree of two lines: node 0, and node 1 as its gt child
 _LINE_1 = '{"name":0,"box":[0.0,0.0,1.0,1.0],"lt":null,"gt":{"name":1,"region":[0.0,0.0,1.0,1.0]}}'
@@ -330,8 +335,9 @@ class TestTreeJsonl:
                     (0, (float("nan"), float("inf"), -float("inf"), 3), None,
                      (2**63, (-0.0, float("-inf"), 1e-7, float("nan"))))])
     def test_columns_equal_the_line_parsers(self, tmp_path_factory, nodes):
+        # written by json.dumps, which spells ints, NaN and the infinities
         path = tmp_path_factory.mktemp("tree") / "tree.jsonl"
-        io.write_tree_jsonl(path, entry_columns(_entries(nodes)))
+        path.write_bytes(json_dumps_tree(_entries(nodes)))
         assert_same_columns(io.read_tree_jsonl(path), line_parser_columns(path))
 
     @settings(max_examples=100, deadline=None)
@@ -339,8 +345,9 @@ class TestTreeJsonl:
     @example(nodes=[(2**53 - 1, (-0.0, 0.1, 2**70, -(2**70)), (0, (1, -2, 10, 0.0)), None),
                     (0, (0, 0.5, 1e15, 3), None, (2**53 - 1, (-0.0, 1, 2, 3)))])
     def test_plain_files_are_read_whole(self, tmp_path_factory, nodes):
+        # written by json.dumps, so ints are spelled as ints
         path = tmp_path_factory.mktemp("tree") / "tree.jsonl"
-        io.write_tree_jsonl(path, entry_columns(_entries(nodes)))
+        path.write_bytes(json_dumps_tree(_entries(nodes)))
         assert io._parse_written(path) is not None
         assert_same_columns(io.read_tree_jsonl(path), line_parser_columns(path))
 
@@ -352,10 +359,10 @@ class TestTreeJsonl:
         assert_same_columns(io.read_tree_jsonl(path), line_parser_columns(path))
 
     @settings(max_examples=100, deadline=None)
-    @given(nodes=st.lists(_nodes, max_size=6, unique_by=lambda node: node[0]))
-    @example(nodes=[(2**64 + 1, (-0.0, 5e-324, 1e16, 1e22), (0, (1, -2, 2**70, 0.0)), None),
-                    (0, (float("nan"), float("inf"), -float("inf"), 3), None,
-                     (2**63, (-0.0, float("-inf"), 1e-7, float("nan"))))])
+    @given(nodes=st.lists(_finite_nodes, max_size=6, unique_by=lambda node: node[0]))
+    @example(nodes=[(2**64 + 1, (-0.0, 5e-324, 1e16, 1e22), (0, (1.0, -2.0, 2.0**70, 0.0)), None),
+                    (0, (-1e308, 1.7976931348623157e308, -5e-324, 3.0), None,
+                     (2**63, (-0.0, -1e22, 1e-7, 1e300)))])
     def test_bytes_equal_json_dumps(self, tmp_path_factory, nodes):
         entries = _entries(nodes)
         path = tmp_path_factory.mktemp("tree") / "tree.jsonl"
@@ -476,3 +483,60 @@ class TestValidateTree:
         path.write_text(f"{_LINE_1}\n{bad}\n")
         with pytest.raises(ValueError, match=r"tree\.jsonl:2: malformed tree entry: "):
             io.read_tree_jsonl(path)
+
+
+# Each reader, its file's header (None for a tree file) and a good line for a number
+READERS = {
+    "boxes": (io.read_boxes_csv, io.BOX_CSV_HEADER, "{},0.0,0.0,1.0,1.0"),
+    "results": (io.read_results_csv, io.RESULTS_CSV_HEADER, "{},1;2"),
+    "bench": (io.read_bench_csv, io.BENCH_CSV_HEADER, "build,{},4,0,0.5"),
+    "tree": (io.read_tree_jsonl, None, '{{"name":{},"box":[0.0,0.0,1.0,1.0],"lt":null,"gt":null}}'),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("good_lines", [1, 999])
+def test_non_ascii_byte_is_refused_with_its_line(tmp_path, reader, good_lines):
+    # past the first read-ahead buffer too, which is decoded whole
+    read, header, line = READERS[reader]
+    lines = [line.format(i + 1) for i in range(good_lines + 1)]
+    lines[-1] = lines[-1].replace(",", ",\u00e9", 1)  # two bytes: 0xc3 0xa9
+    path = tmp_path / "file"
+    path.write_bytes("\n".join(([header] if header else []) + lines + [""]).encode("utf-8"))
+    lineno = good_lines + 1 + (header is not None)
+    column = lines[-1].index("\u00e9") + 1
+    with pytest.raises(ValueError) as refused:
+        read(path)
+    assert str(refused.value) == f"{path}:{lineno}: non-ASCII byte 0xc3 at column {column}"
+
+
+class TestOneColumnForm:
+    # every maker of tree columns gives the same tree the same columns
+    # (column_tree, the whole-file parse, the line parser, entry_columns):
+    # names and child names int64 below 2^63, Python ints from there, -1
+    # for no child either way
+    @settings(max_examples=60, deadline=None)
+    @given(boxes=_boxes_named(st.integers(0, 2**53 - 1) | st.integers(2**53, 2**64)))
+    @example(boxes=[Box(2**53 - 1, 0.0, 0.0, 1.0, 1.0), Box(7, -0.0, 0.0, 1.0, 0.5),
+                    Box(0, 1.0, 1.0, 2.0, 2.0)])
+    @example(boxes=[Box(2**63 - 1, 0.0, 0.0, 1.0, 1.0), Box(2**53, -0.0, 0.0, 1.0, 5e-324),
+                    Box(0, 1.0, 1.0, 2.0, 2.0)])
+    @example(boxes=[Box(2**63, 0.0, 0.0, 1.0, 1.0), Box(5, 0.0, -0.0, 1e22, 1.0),
+                    Box(0, 1.0, 1.0, 2.0, 2.0)])
+    def test_every_maker_gives_the_same_dtypes(self, tmp_path_factory, boxes):
+        names = [b.name for b in boxes]
+        coords = np.array([b[1:] for b in boxes], float).reshape(-1, 4).T.copy()
+        built = column_tree(BoxColumns(name_column(names), coords))
+        path = tmp_path_factory.mktemp("tree") / "tree.jsonl"
+        io.write_tree_jsonl(path, built)
+        makers = [line_parser_columns(path), entry_columns(build_memory_tree(*presort(boxes)))]
+        whole = io._parse_written(path)
+        # parsed whole unless a name or a number takes the line parser
+        exponent = re.search(r"\de", path.read_text()) is not None
+        assert (whole is None) == (not names or max(names) >= 2**53 or exponent)
+        makers += [] if whole is None else [whole]
+        wide = any(name >= 2**63 for name in names)
+        assert built.names.dtype == (object if wide else np.int64)
+        assert (built.children == -1).sum() == (len(boxes) + 1 if boxes else 0)
+        for columns in makers:
+            assert_same_columns(columns, built)
