@@ -18,7 +18,7 @@ names and child names are one ``memory_tree.name_column`` in both forms.
 From there both forms take one path: the check maps child names to
 positions by binary search and checks the columns with array passes:
 in-degrees by ``bincount``, reachability by a level walk down from the
-root, and each subtree's tight region bottom-up, one level at a time.
+root, and the subtrees' regions by the build's merge, ``subtree_regions``.
 The checked columns are kept on the tree dataset
 (``PartitionedDataset.cached``) as a one-element dataset keyed by the
 root's name, so every later pass and search of the same dataset reuses
@@ -49,7 +49,7 @@ import numpy as np
 
 from .engine import Engine, PairDataset, PartitionedDataset
 from .geometry import Box, validate_box
-from .memory_tree import BoxColumns, TreeColumns, TreeGraphEntry, name_column
+from .memory_tree import BoxColumns, TreeColumns, TreeGraphEntry, name_column, subtree_regions
 
 __all__ = [
     "TreeColumns",
@@ -185,11 +185,7 @@ def _check(columns: TreeColumns) -> _Tree:
     """The checked tree of non-empty raw columns; see ``tree_root_name``."""
     names, rects, child_names = columns
     n = len(names)
-    box = rects[:, 0]
-    valid = np.isfinite(box).all(axis=0) & (box[0] <= box[2]) & (box[1] <= box[3])
-    if not valid.all():
-        i = int(np.argmin(valid))
-        validate_box(Box(names[i], *box[:, i].tolist()))  # raises with the box's own message
+    _check_boxes(names, rects[:, 0])
     repeated = names[1:] == names[:-1]
     if repeated.any():
         raise ValueError(f"duplicate tree node {names[int(np.argmax(repeated))]}")
@@ -207,35 +203,37 @@ def _check(columns: TreeColumns) -> _Tree:
         node = int(np.argmax(parents > 1))
         raise ValueError(f"node {names[node]} is the child of {parents[node]} nodes")
 
-    # walk down level by level. Every node but the root has one parent, so
+    # walk down to an empty level. Every node but the root has one parent, so
     # no node is reached twice and the walk ends; a cycle is never reached.
     levels = [roots]
-    while True:
+    while len(levels[-1]):
         below = children[levels[-1]].ravel()
-        below = below[below >= 0]
-        if not len(below):
-            break
-        levels.append(below)
+        levels.append(below[below >= 0])
     unreachable = n - sum(map(len, levels))
     if unreachable:
         raise ValueError(f"{unreachable} nodes are unreachable from the root")
 
-    # tightest region around each subtree, bottom-up one level at a time:
-    # every child region must enclose its child's
-    tight = box.copy()
-    for level in reversed(levels):
-        for side in (0, 1):
-            kid = children[level, side]
-            parent, kid = level[kid >= 0], kid[kid >= 0]
-            region, sub = rects[:, 1 + side, parent], tight[:, kid]
-            inside = (region[:2] <= sub[:2]).all(axis=0) & (sub[2:] <= region[2:]).all(axis=0)
-            if not inside.all():
-                bad = int(np.argmin(inside))
-                parent_name, kid_name = names[parent[bad]], names[kid[bad]]
-                raise ValueError(f"node {parent_name}: region of child {kid_name} misses its subtree")
-            tight[:2, parent] = np.minimum(tight[:2, parent], sub[:2])
-            tight[2:, parent] = np.maximum(tight[2:, parent], sub[2:])
+    # every child region must enclose its child's subtree region
+    tight = subtree_regions(rects[:, 0], children.T, levels)
+    for side in (0, 1):
+        parent = np.flatnonzero(children[:, side] >= 0)
+        kid = children[parent, side]
+        region, sub = rects[:, 1 + side, parent], tight[:, kid]
+        inside = (region[:2] <= sub[:2]).all(axis=0) & (sub[2:] <= region[2:]).all(axis=0)
+        if not inside.all():
+            bad = int(np.argmin(inside))
+            parent_name, kid_name = names[parent[bad]], names[kid[bad]]
+            raise ValueError(f"node {parent_name}: region of child {kid_name} misses its subtree")
     return _Tree(rects, children, names, int(roots[0]))
+
+
+def _check_boxes(names: np.ndarray, box: np.ndarray) -> None:
+    """Raise ``validate_box``'s ValueError for the first box of the columns
+    (4, n) that is not finite or is inverted."""
+    valid = np.isfinite(box).all(axis=0) & (box[0] <= box[2]) & (box[1] <= box[3])
+    if not valid.all():
+        i = int(np.argmin(valid))
+        validate_box(Box(names[i], *box[:, i].tolist()))
 
 
 def _child_positions(names: np.ndarray, child_names: np.ndarray) -> np.ndarray:
@@ -267,17 +265,16 @@ def tree_root_name(tree_ds: PairDataset) -> Optional[int]:
 def init_queries(search_ds: PairDataset, root_name: Optional[int]) -> PairDataset:
     """Turn the (name, box) queries, or a ``column_queries`` dataset's
     boxes, into one frontier block per worker, keyed by the root's name,
-    with no node array: every query is at the root.
+    with no node array: every query is at the root. A query box that is
+    not finite or is inverted is refused as ``validate_box`` refuses it.
     """
     items = search_ds.collect()
     if len(items) == 1 and isinstance(items[0][1], BoxColumns):
         boxes = items[0][1]
     else:
-        coordinates = chain.from_iterable(map(itemgetter(slice(1, None)), map(itemgetter(1), items)))
-        boxes = BoxColumns(
-            name_column([name for name, _ in items]),
-            np.fromiter(coordinates, float, 4 * len(items)).reshape(-1, 4).T,
-        )
+        coords = np.array([box[1:] for _, box in items], float).reshape(-1, 4).T
+        boxes = BoxColumns(name_column([name for name, _ in items]), coords)
+    _check_boxes(*boxes)
     count = len(boxes.names)
     if count and root_name is None:
         raise ValueError("cannot start a non-empty search against an empty tree")

@@ -13,11 +13,10 @@ operators (sort_by_key, join, group_by_key, flat_map_values) assume that
 shape. Operators evaluate eagerly: there is no lazy DAG.
 
 Because a dataset never changes, a value derived from it alone can be
-computed once and kept on it (``cached``): ``join`` keeps its right side's
-key index there, and the tree search its columnar tree, so an iterative
-job that joins against the same dataset on every pass pays for the
-derivation only on the first pass. Every derived dataset is a new object
-and starts with an empty cache.
+computed once and kept on it (``cached``): the tree search keeps its
+checked columnar tree there, so an iterative job that joins against the
+same tree on every pass checks it only on the first pass. Every derived
+dataset is a new object and starts with an empty cache.
 """
 
 from __future__ import annotations
@@ -177,14 +176,13 @@ class PartitionedDataset:
         ``fn(k, v1, v2)`` and its outputs are emitted, by default the one
         element (k, (v1, v2)).
 
-        The right side is hashed on its first use as a right side and the
-        index is kept on it, so later joins against the same dataset skip
-        the hash. The left side is streamed in order, so output order is
-        left-dataset order (with right-side multiplicity expanded in right
-        order). Keys missing on either side are dropped. A fused ``fn``
-        runs in the same per-partition pass: no (k, (v1, v2)) tuple is built.
+        The right side is hashed on each call. The left side is streamed
+        in order, so output order is left-dataset order (with right-side
+        multiplicity expanded in right order). Keys missing on either side
+        are dropped. A fused ``fn`` runs in the same per-partition pass: no
+        (k, (v1, v2)) tuple is built.
         """
-        get = other.cached("join.key_index", _hash_by_key).get
+        get = _hash_by_key(other).get
 
         def work(part):
             out: list = []
@@ -218,9 +216,7 @@ class PartitionedDataset:
         Value lists preserve the first-appearance order of each key's
         values across the whole dataset.
         """
-        groups: dict = {}
-        for k, v in self.collect():
-            groups.setdefault(k, []).append(v)
+        groups = _hash_by_key(self)
         items = [(k, tuple(groups[k])) for k in sorted(groups)]
         return self.engine.from_items(items, self.num_partitions)
 
@@ -299,7 +295,7 @@ class PartitionedDataset:
 
 
 def _hash_by_key(ds: PartitionedDataset) -> dict:
-    """key -> [values] in dataset order: the index ``join`` keeps on its right side."""
+    """key -> [values] in dataset order."""
     index: dict = {}
     for k, v in ds.collect():
         index.setdefault(k, []).append(v)

@@ -7,8 +7,8 @@ hold the level's segments, one per node, with the same bounds. Each
 segment's median in the split order is its node's box; the other order
 is partitioned stably around it by rank, which preserves both sort
 orders all the way down and gives an O(n log n) build without median
-finding. The regions are then merged bottom-up, one vectorized pass per
-level, carrying the index of the box that holds each extreme.
+finding. The regions are then merged bottom-up in float64, one
+vectorized pass per level (``subtree_regions``).
 
 That one build core (``_build``) has two outputs:
 
@@ -23,8 +23,8 @@ That one build core (``_build``) has two outputs:
 - ``build_memory_tree``: boxes presorted by ``presort`` to
   (name, TreeNodeValue) entries in pre-order, root first, which name
   each node's children and their regions. It is the view the engine
-  build and in-process trees use, and its boxes and regions hold the
-  boxes' own objects (an int coordinate stays an int, even beyond 2^53).
+  build and in-process trees use; its boxes are the caller's objects,
+  and its regions hold Python floats, as every search reads them.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
     "TreeGraphEntry",
     "name_column",
     "column_tree",
+    "subtree_regions",
     "presort",
     "build_memory_tree",
     "tree_depth",
@@ -125,10 +126,9 @@ def build_memory_tree(
     """Build the balanced tree from the two presorted arrays.
 
     The split axis cycles x_min, y_min with depth (x_min at even depths).
-    The median of a length-n array is index n // 2. Every region holds
-    the boxes' own coordinate objects; of equal extremes it holds the
-    first found, looking at the node's own box, then its lt subtree, then
-    its gt subtree.
+    The median of a length-n array is index n // 2. The entries' boxes
+    are the caller's objects; every region holds the float64 extremes of
+    its subtree as Python floats, merged by ``subtree_regions``.
 
     Returns the (name, TreeNodeValue) entries in pre-order, root first;
     an empty list for empty input.
@@ -139,11 +139,10 @@ def build_memory_tree(
     # a box's index is its position in x_sorted
     index = dict(zip(map(itemgetter(0), x_sorted), range(n)))
     y_order = np.fromiter(map(index.__getitem__, map(itemgetter(0), y_sorted)), np.intp, n)
-    coords = np.stack([np.fromiter(map(itemgetter(k + 1), x_sorted), object, n) for k in range(4)])
-    node_box, links, extremes = _build(coords, np.arange(n), y_order, depth)
+    coords = np.array([box[1:] for box in x_sorted], float).T
+    node_box, links, regions = _build(coords, np.arange(n), y_order, depth)
     # each ends in a None, which a link of -1 picks
-    corners = np.take_along_axis(coords, extremes, 1)
-    regions = np.append(np.fromiter(map(Region, *corners), object, n), None)
+    regions = np.append(np.fromiter(map(Region, *regions.tolist()), object, n), None)
     names = np.append(np.fromiter(map(itemgetter(0), x_sorted), object, n)[node_box], None)
     boxes = np.fromiter(x_sorted, object, n)[node_box]
     children = [column[link] for link in links for column in (names, regions)]
@@ -155,9 +154,9 @@ def column_tree(boxes: BoxColumns) -> TreeColumns:
     in name order.
 
     The tree of ``build_memory_tree(*presort(boxes.boxes()))``, the first
-    of equal extremes included, on the float64 coordinates:
-    ``np.lexsort`` presorts the columns, and the build's box indices pick
-    each node's name, box and child regions.
+    of equal extremes included: ``np.lexsort`` presorts the columns, the
+    build's box indices pick each node's name and box, and its regions
+    the child regions.
     """
     names, coords = boxes
     n = len(names)
@@ -167,14 +166,14 @@ def column_tree(boxes: BoxColumns) -> TreeColumns:
         return TreeColumns(names, rects, children)
     x_order = np.lexsort((names, coords[AXIS_XMIN]))
     y_order = np.lexsort((names, coords[AXIS_YMIN]))
-    node_box, links, extremes = _build(coords, x_order, y_order, 0)
+    node_box, links, regions = _build(coords, x_order, y_order, 0)
     pre_names = names[node_box]
     by_name = np.argsort(pre_names, kind="stable")  # pre-order positions in name order
     rects[:, 0] = coords[:, node_box[by_name]]
     for side, link in enumerate(links):
         child = link[by_name]
         has = child >= 0
-        rects[:, 1 + side, has] = np.take_along_axis(coords, extremes[:, child[has]], 1)
+        rects[:, 1 + side, has] = regions[:, child[has]]
         children[has, side] = pre_names[child[has]]
     return TreeColumns(pre_names[by_name], rects, children)
 
@@ -185,8 +184,7 @@ def _build(coords, x_order, y_order, depth):
 
     The build core of both outputs. Returns, by pre-order position, each
     node's box index, its lt and gt positions (-1 where there is no
-    child) and, per coordinate, the index of the box holding its subtree
-    region's extreme.
+    child) and its subtree's region (4, n).
     """
     n = x_order.size
     # the subdivision takes a box's position in the x order as its index
@@ -197,7 +195,7 @@ def _build(coords, x_order, y_order, depth):
     ranks[AXIS_YMIN][y_in_x] = ranks[AXIS_XMIN]
     at, links, levels = _subdivide(ranks, y_in_x, depth)
     node_box = x_order[at]
-    return node_box, links, _subtree_extremes(coords, node_box, links, levels)
+    return node_box, links, subtree_regions(coords[:, node_box], links, levels)
 
 
 def _subdivide(ranks, y_order, depth):
@@ -256,31 +254,25 @@ def _partition_level(order, rank, pivots, sizes):
     return np.delete(moved, np.cumsum(sizes) - sizes + sizes // 2)
 
 
-def _subtree_extremes(coords, node_box, links, levels):
-    """Per coordinate, the index of the box holding the extreme of each
-    node's subtree region, by pre-order position.
+def subtree_regions(boxes: np.ndarray, links: Sequence, levels: Sequence) -> np.ndarray:
+    """The region of each node's subtree, (4, n) float64, by node position.
 
-    Merged bottom-up, one level at a time: a node's own box, then its lt
-    and its gt subtree, each replacing an extreme found so far only when
-    strictly beyond it. What is carried is the index of the box holding
-    each extreme, and the comparisons are those of ``coords``' own
-    elements: an object array compares the coordinate objects (a double
-    would round an int beyond 2^53).
+    ``boxes`` (4, n) holds each node's box, ``links`` its lt and gt
+    positions (-1 where there is no child) and ``levels`` the positions
+    of each level's nodes, root level first. Merged bottom-up, one level
+    at a time: a node's own box, then its lt and its gt region, each
+    replacing an extreme found so far only when strictly beyond it, so
+    of -0.0 and 0.0 the first found stays.
     """
-    n = node_box.size
-    extremes = np.empty((4, n), np.intp)
-    for pre in reversed(levels):
-        best = np.tile(node_box[pre], (4, 1))
+    regions = np.array(boxes, float)
+    for level in reversed(levels):
         for link in links:
-            child = link[pre]
-            has = child >= 0
-            found, candidate = best[:, has], extremes[:, child[has]]
-            now = np.take_along_axis(coords, found, 1)
-            new = np.take_along_axis(coords, candidate, 1)
-            beyond = np.vstack((new[:2] < now[:2], new[2:] > now[2:]))
-            best[:, has] = np.where(beyond, candidate, found)
-        extremes[:, pre] = best
-    return extremes
+            child = link[level]
+            parent, child = level[child >= 0], child[child >= 0]
+            now, found = regions[:, parent], regions[:, child]
+            beyond = np.vstack((found[:2] < now[:2], found[2:] > now[2:]))
+            regions[:, parent] = np.where(beyond, found, now)
+    return regions
 
 
 def tree_depth(entries: Sequence[TreeGraphEntry]) -> int:

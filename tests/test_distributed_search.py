@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import boxtree
 from boxtree import distributed_search, io
@@ -147,6 +150,40 @@ class TestAcceptedTrees:
         assert grouped_dict(run_search(search_dataset(engine, queries), tree_ds)) == expected
 
 
+def subtree_boxes(by_name, name):
+    value = by_name[name]
+    return [value.box, *(box for child in (value.lt_name, value.gt_name) if child is not None
+                         for box in subtree_boxes(by_name, child))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 64), seed=st.integers(0, 2**16), pick=st.integers(0, 2**16),
+       coordinate=st.integers(0, 3))
+def test_child_region_short_of_its_subtree_is_named(engine, n, seed, pick, coordinate):
+    # one child region's coordinate moved just inside its subtree's extreme
+    # is refused, naming that parent and child; moved outward, it is searched
+    entries = build_memory_tree(*presort(random_boxes(n, seed)))
+    by_name = dict(entries)
+    links = [(i, side) for i, (_, value) in enumerate(entries)
+             for side in (0, 1) if (value.lt_name, value.gt_name)[side] is not None]
+    i, side = links[pick % len(links)]
+    name, value = entries[i]
+    child = (value.lt_name, value.gt_name)[side]
+    tight = list(tight_region(subtree_boxes(by_name, child)))
+    outward = -1.0 if coordinate < 2 else 1.0  # a min widens down, a max up
+    for moved, refused in ((math.nextafter(tight[coordinate], -outward * math.inf), True),
+                           (tight[coordinate] + outward, False)):
+        region = Region(*tight[:coordinate], moved, *tight[coordinate + 1:])
+        changed = value._replace(**{("lt_region", "gt_region")[side]: region})
+        tree_ds = engine.from_items(entries[:i] + [(name, changed)] + entries[i + 1:])
+        if refused:
+            message = f"node {name}: region of child {child} misses its subtree"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                tree_root_name(tree_ds)
+        else:
+            assert tree_root_name(tree_ds) == entries[0][0]
+
+
 def test_names_beyond_64_bits_stay_out_of_the_frontier(engine):
     big = 99999999999999999999
     boxes = [Box(5, 0.0, 0.0, 2.0, 2.0), Box(big, 1.0, 1.0, 3.0, 3.0),
@@ -253,6 +290,19 @@ class TestInitQueries:
     def test_empty_tree_with_queries_rejected(self, engine):
         with pytest.raises(ValueError):
             init_queries(search_dataset(engine, random_boxes(2, seed=2)), None)
+
+    # as the box CSV reader refuses them, with validate_box's message
+    @pytest.mark.parametrize("query, message", [
+        (Box(6, 8.0, 8.0, 2.0, 2.0), "box 6 has inverted extents: (8.0, 8.0, 2.0, 2.0)"),
+        (Box(6, 0.0, float("nan"), 1.0, 1.0), "box 6 has a non-finite coordinate: (0.0, nan, 1.0, 1.0)"),
+        (Box(6, 0.0, 0.0, float("inf"), 1.0), "box 6 has a non-finite coordinate: (0.0, 0.0, inf, 1.0)"),
+    ])
+    def test_bad_query_box_is_refused(self, engine, query, message):
+        tree_ds = build_distributed_tree([Box(0, 0.0, 0.0, 10.0, 10.0), Box(1, 20.0, 20.0, 30.0, 30.0)],
+                                         engine, 0)
+        queries = search_dataset(engine, [Box(5, 0.0, 0.0, 1.0, 1.0), query])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_search(queries, tree_ds)
 
 
 class TestSearchIteration:

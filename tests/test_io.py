@@ -312,6 +312,18 @@ class TestTreeJsonl:
         monkeypatch.setattr(io, "_read_tree_lines", None)  # the line parser is not called
         assert_same_columns(io.read_tree_jsonl(path), entry_columns(entries))
 
+    def test_unit_square_tree_is_read_whole(self, tmp_path, monkeypatch):
+        # coordinates below 1e-4, which repr writes with an exponent
+        boxes = random_boxes(200, seed=6, hi=1.0, max_side=0.05)
+        boxes += [Box(1000, 5e-5, 0.0, 2e-5 + 5e-5, 1e-5), Box(1001, 0.5, 3e-7, 0.6, 0.5)]
+        columns = column_tree(BoxColumns(name_column([b.name for b in boxes]),
+                                         np.array([b[1:] for b in boxes], float).T.copy()))
+        path = tmp_path / "tree.jsonl"
+        io.write_tree_jsonl(path, columns)
+        assert re.search(r"\de-", path.read_text())
+        monkeypatch.setattr(io, "_read_tree_lines", None)  # the line parser is not called
+        assert_same_columns(io.read_tree_jsonl(path), columns)
+
     def test_lines_sorted_by_name(self, tmp_path):
         boxes = random_boxes(10, seed=3)
         with Engine(EngineConfig(workers=1)) as engine:
@@ -368,6 +380,22 @@ class TestTreeJsonl:
         path = tmp_path_factory.mktemp("tree") / "tree.jsonl"
         io.write_tree_jsonl(path, entry_columns(entries))
         assert path.read_bytes() == json_dumps_tree(entries)
+
+    # a number outside its slots, and an empty slot that balances its count
+    @pytest.mark.parametrize("line", [
+        _LINE_2.replace('"name":1', '"na5me":1').replace("1.0,1.0]", "1.0,]"),
+        _LINE_2.replace('"box"', '"b1ox"').replace("[0.0,", "[,"),
+        _LINE_2.replace(',"gt"', ',5"gt"').replace("[0.0,", "[,"),
+        _LINE_2.replace('"lt":null', '"lt":5null').replace("[0.0,", "[,"),
+        _LINE_2.replace('"lt":null', '"lt":null5').replace("[0.0,", "[,"),
+        _LINE_2.replace('"gt":null', '"gt":nu1e-5ll').replace("[0.0,", "[,"),
+    ])
+    def test_number_outside_its_slot_rejected(self, tmp_path, line):
+        path = tmp_path / "tree.jsonl"
+        path.write_text(f"{_LINE_1}\n{line}\n")
+        assert io._parse_written(path) is None
+        with pytest.raises(ValueError, match=r"tree\.jsonl:2: malformed tree entry: "):
+            io.read_tree_jsonl(path)
 
     @pytest.mark.parametrize("number", ["1.2.3", "1.0.0", "1-2"])
     def test_malformed_last_number_rejected(self, tmp_path, number):
@@ -531,9 +559,8 @@ class TestOneColumnForm:
         io.write_tree_jsonl(path, built)
         makers = [line_parser_columns(path), entry_columns(build_memory_tree(*presort(boxes)))]
         whole = io._parse_written(path)
-        # parsed whole unless a name or a number takes the line parser
-        exponent = re.search(r"\de", path.read_text()) is not None
-        assert (whole is None) == (not names or max(names) >= 2**53 or exponent)
+        # parsed whole unless a name takes the line parser
+        assert (whole is None) == (not names or max(names) >= 2**53)
         makers += [] if whole is None else [whole]
         wide = any(name >= 2**63 for name in names)
         assert built.names.dtype == (object if wide else np.int64)

@@ -143,10 +143,18 @@ def big_name_boxes(n, seed):
             for b in tied_boxes(n, seed)]
 
 
+def float_regions(entries):
+    """The entries with every region's coordinates as floats."""
+    def region(r):
+        return None if r is None else Region(*map(float, r))
+    return [(name, TreeNodeValue(v.box, v.lt_name, region(v.lt_region), v.gt_name, region(v.gt_region)))
+            for name, v in entries]
+
+
 class TestEqualsReferenceBuild:
-    # the array build returns the recursion's entries: the same list, order,
-    # box and region objects' values and types included (so -0.0 stays
-    # -0.0 and an int coordinate an int)
+    # the array build returns the recursion's entries: the same list, order
+    # and box objects, and the same regions in floats, by value and type (so
+    # -0.0 stays -0.0, and an int extreme is its float)
     @pytest.mark.parametrize(
         "make", [random_boxes, tied_boxes, int_boxes, beyond_double_boxes, big_name_boxes])
     def test_same_entries_in_the_same_order(self, make):
@@ -154,7 +162,7 @@ class TestEqualsReferenceBuild:
             x_sorted, y_sorted = presort(make(n, seed=n))
             for depth in (0, 1):
                 got = build_memory_tree(x_sorted, y_sorted, depth)
-                want = reference_build(x_sorted, y_sorted, depth)
+                want = float_regions(reference_build(x_sorted, y_sorted, depth))
                 assert got == want, f"n={n} depth={depth}"
                 assert repr(got) == repr(want), f"n={n} depth={depth}"
 
@@ -185,7 +193,8 @@ def float_boxes(make):
 class TestColumnTree:
     # the column build makes the tree of the entry build, in name order:
     # the same names, boxes, child names and regions (-0.0 apart from 0.0)
-    @pytest.mark.parametrize("make", [random_boxes, float_boxes(tied_boxes), float_boxes(big_name_boxes)])
+    @pytest.mark.parametrize("make", [random_boxes, tied_boxes, int_boxes, float_boxes(tied_boxes),
+                                      float_boxes(big_name_boxes)])
     def test_equals_the_entry_build(self, make):
         for n in [*range(65), 2**10]:
             boxes = make(n, seed=n)
