@@ -159,7 +159,8 @@ def _parse_boxes(path: str) -> Optional[BoxColumns]:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.startswith(_BOX_HEAD):
+    # a number after the last newline would balance an empty field
+    if not data.startswith(_BOX_HEAD) or not data.endswith(b"\n"):
         return None
     body = data[len(_BOX_HEAD) - 1:]  # from the header's newline on
     del data
@@ -280,10 +281,12 @@ def _parse_written(path: str) -> Optional[TreeColumns]:
     with open(path, "rb") as fh:
         data = fh.read()
     # respell the keys with an "E", which no file as written holds, so that
-    # every "e" left is one that _numbers must read as an exponent
-    if b"E" in data:
+    # every "e" left is one that _numbers must read as an exponent; and no
+    # number may follow the last line, where it would balance an empty slot
+    if b"E" in data or not data.endswith(b"}\n"):
         return None
-    data = data.replace(b'"name":', b'"namE":').replace(b'"region":', b'"rEgion":')
+    data = data.replace(b'"name":', b'"namE":')
+    data = data.replace(b'"region":', b'"rEgion":')
     kinds = _line_kinds(data)
     if kinds is None:
         return None
@@ -339,16 +342,17 @@ def _numbers(text: bytes, expected: int, name: np.ndarray) -> Optional[np.ndarra
     """
     chars = np.frombuffer(text, np.uint8)
     number = chars > 32
-    # the byte before each number and the byte after it, in turn
-    bounds = np.flatnonzero(number[1:] != number[:-1]) + 1
-    bounds[::2] -= 1
+    # every number lies between two delimiters: one inside a key or next to
+    # a null, beside a tab, would otherwise balance an empty slot
+    beside = np.empty(len(chars) - 1, bool)  # a tab after each byte, then before it
+    for tab, digit in ((chars[1:], number[:-1]), (chars[:-1], number[1:])):
+        if np.logical_and(np.equal(tab, 9, out=beside), digit, out=beside).any():
+            return None
+    del beside, tab, digit  # the views would keep number alive
+    token = np.flatnonzero(number[1:] > number[:-1]) + 1  # where each number starts
     del number
-    # every slot holds one number, between two delimiters: a number inside a
-    # key or next to a null would otherwise balance an empty slot
-    if len(bounds) != 2 * expected or (chars[bounds] != 32).any():
+    if len(token) != expected:  # a number slot was empty
         return None
-    token = bounds[::2] + 1  # where each number starts
-    del bounds
     # an exponent as repr writes it, after a digit: "e", a sign and a
     # digit ("1e5" and "+1" are not); never in a name
     exponent = np.flatnonzero(chars == ord("e"))

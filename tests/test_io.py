@@ -185,6 +185,15 @@ class TestBoxCsvColumns:
         assert io._parse_boxes(path) is None
         assert_same_boxes(io.read_boxes_csv(path), io._read_box_rows(path))
 
+    def test_number_after_the_last_newline_is_refused(self, tmp_path):
+        # it would balance the empty field of line 3
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{io.BOX_CSV_HEADER}\n0,0.0,0.0,1.0,1.0\n1,,0.0,1.0,1.0\n5")
+        assert io._parse_boxes(path) is None
+        with pytest.raises(ValueError) as refused:
+            io.read_boxes_csv(path)
+        assert str(refused.value) == f"{path}:3: could not convert string to float: ''"
+
     def test_names_beyond_64_bits_are_python_ints(self, tmp_path):
         path = tmp_path / "boxes.csv"
         io.write_boxes_csv(path, [Box(2**63, 0.0, 0.0, 1.0, 1.0), Box(5, 0.0, 0.0, 1.0, 1.0)])
@@ -393,6 +402,16 @@ class TestTreeJsonl:
     def test_number_outside_its_slot_rejected(self, tmp_path, line):
         path = tmp_path / "tree.jsonl"
         path.write_text(f"{_LINE_1}\n{line}\n")
+        assert io._parse_written(path) is None
+        with pytest.raises(ValueError, match=r"tree\.jsonl:2: malformed tree entry: "):
+            io.read_tree_jsonl(path)
+
+    @pytest.mark.parametrize("tail", ["5", "-0"])
+    def test_number_after_the_last_line_rejected(self, tmp_path, tail):
+        # it would balance the empty name slot of line 2
+        no_name = _LINE_2.replace('"name":1', '"name":')
+        path = tmp_path / "tree.jsonl"
+        path.write_text(f"{_LINE_1}\n{no_name}\n{tail}")
         assert io._parse_written(path) is None
         with pytest.raises(ValueError, match=r"tree\.jsonl:2: malformed tree entry: "):
             io.read_tree_jsonl(path)
