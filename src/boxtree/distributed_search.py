@@ -213,17 +213,18 @@ def _check(columns: TreeColumns) -> _Tree:
     if unreachable:
         raise ValueError(f"{unreachable} nodes are unreachable from the root")
 
-    # every child region must enclose its child's subtree region
-    tight = subtree_regions(rects[:, 0], children.T, levels)
-    for side in (0, 1):
-        parent = np.flatnonzero(children[:, side] >= 0)
-        kid = children[parent, side]
-        region, sub = rects[:, 1 + side, parent], tight[:, kid]
-        inside = (region[:2] <= sub[:2]).all(axis=0) & (sub[2:] <= region[2:]).all(axis=0)
-        if not inside.all():
-            bad = int(np.argmin(inside))
-            parent_name, kid_name = names[parent[bad]], names[kid[bad]]
-            raise ValueError(f"node {parent_name}: region of child {kid_name} misses its subtree")
+    # every child region must hold its subtree's; the first miss bottom-up is named
+    tight = subtree_regions(rects[:, 0].copy(), children.T, levels)
+    for level in reversed(levels):
+        for side in (0, 1):
+            kid = children[level, side]
+            parent, kid = level[kid >= 0], kid[kid >= 0]
+            region, sub = rects[:, 1 + side, parent], tight[:, kid]
+            inside = (region[:2] <= sub[:2]).all(axis=0) & (sub[2:] <= region[2:]).all(axis=0)
+            if not inside.all():
+                bad = int(np.argmin(inside))
+                parent_name, kid_name = names[parent[bad]], names[kid[bad]]
+                raise ValueError(f"node {parent_name}: region of child {kid_name} misses its subtree")
     return _Tree(rects, children, names, int(roots[0]))
 
 

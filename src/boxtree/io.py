@@ -13,8 +13,7 @@ file into the search's raw columns (``distributed_search.TreeColumns``),
 not into per-row or per-node objects: a file as ``write_boxes_csv`` or
 ``write_tree_jsonl`` writes it is parsed whole with numpy, and any other
 file, or one a check refuses, goes through a line-by-line parser, which
-reports the first bad line with its number. Both whole-file parses read
-their numbers by one rule (``_numbers``). Either way the names are a
+reports the first bad line with its number. Either way the names are a
 ``memory_tree.name_column`` (int64 below 2^63), with -1 for "no child".
 The tree writer formats raw columns, as ``memory_tree.column_tree``
 builds them, a chunk of lines at a time; it writes the float64 columns
@@ -143,10 +142,10 @@ def _read_box_rows(path: str) -> BoxColumns:
 
 
 _BOX_HEAD = (BOX_CSV_HEADER + "\n").encode("ascii")
-# The characters of the numbers repr writes. In the text _numbers reads, the
-# delimiters a number may touch are spaces and every other byte is a tab
-_NUMBER_CHARS = b"0123456789.-+e"
-_NUMBERS_ONLY = bytes(c if c in _NUMBER_CHARS else 32 if c in b",:[]\n" else 9 for c in range(256))
+# the characters of the numbers repr writes: deleting them from a row of
+# five numbers leaves four commas and a newline
+_CSV_NUMBER_CHARS = b"0123456789.-+e"
+_CSV_SPACES = bytes.maketrans(b",\n", b"  ")
 
 
 def _parse_boxes(path: str) -> Optional[BoxColumns]:
@@ -166,11 +165,11 @@ def _parse_boxes(path: str) -> Optional[BoxColumns]:
     del data
     rows = body.count(b"\n") - 1
     # five fields, of number characters only, on every row, and no blank row
-    if body.translate(None, _NUMBER_CHARS) != b"\n" + b",,,,\n" * rows:
+    if body.translate(None, _CSV_NUMBER_CHARS) != b"\n" + b",,,,\n" * rows:
         return None
     if not rows:
         return BoxColumns(np.empty(0, np.int64), np.empty((4, 0)))
-    values = _numbers(body.translate(_NUMBERS_ONLY) + b" ", 5 * rows, np.arange(0, 5 * rows, 5))
+    values = _numbers(body.translate(_CSV_SPACES) + b" ", 5 * rows, np.arange(0, 5 * rows, 5))
     del body
     if values is None:
         return None
@@ -245,8 +244,8 @@ def read_tree_jsonl(path: str) -> TreeColumns:
     """Parse a tree file into the search's raw columns, in name order.
 
     A file spelled as ``write_tree_jsonl`` writes it, with finite
-    coordinates, exponents as ``repr`` writes them and ascending names
-    below 2^53, is parsed whole into arrays (``_parse_written``). Any other
+    coordinates written without an exponent and ascending names below
+    2^53, is parsed whole into arrays (``_parse_written``). Any other
     file is parsed line by line (``_read_tree_lines``), which reports a
     bad line with its number. Only each line is checked here; whether the
     nodes form a tree a search can walk is checked where every search
@@ -256,11 +255,14 @@ def read_tree_jsonl(path: str) -> TreeColumns:
     return entry_columns(_read_tree_lines(path)) if columns is None else columns
 
 
-# The line shapes write_tree_jsonl writes, keys respelled with an "E" and
-# every number character deleted; NaN or Infinity leaves letters
-_HEAD = b'{"namE":,"box":[,,,],"lt":'
-_CHILD = b'{"namE":,"rEgion":[,,,]}'
+# The line shapes write_tree_jsonl writes, with every number character
+# deleted; a number with an exponent, NaN or Infinity leaves letters
+_NUMBER_CHARS = b"0123456789.-"
+_HEAD = b'{"name":,"box":[,,,],"lt":'
+_CHILD = b'{"name":,"region":[,,,]}'
 _SHAPES = [_HEAD + lt + b',"gt":' + gt + b"}\n" for lt in (_CHILD, b"null") for gt in (_CHILD, b"null")]
+# numbers between spaces: a delimiter a number may touch is a space, any other byte a tab
+_NUMBERS_ONLY = bytes(c if c in _NUMBER_CHARS else 32 if c in b",:[]\n" else 9 for c in range(256))
 _TENS = 10.0 ** np.arange(1, 17)  # a name below 2^53 has at most 16 digits
 
 
@@ -280,18 +282,14 @@ def _parse_written(path: str) -> Optional[TreeColumns]:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    # respell the keys with an "E", which no file as written holds, so that
-    # every "e" left is one that _numbers must read as an exponent; and no
-    # number may follow the last line, where it would balance an empty slot
-    if b"E" in data or not data.endswith(b"}\n"):
+    # a number after the last line would balance an empty slot
+    if not data.endswith(b"}\n"):
         return None
-    data = data.replace(b'"name":', b'"namE":')
-    data = data.replace(b'"region":', b'"rEgion":')
     kinds = _line_kinds(data)
     if kinds is None:
         return None
     has_lt, has_gt = kinds
-    text = data.translate(_NUMBERS_ONLY)
+    text = data.translate(_NUMBERS_ONLY)  # numbers between spaces
     del data
     count = 5 * (1 + has_lt.astype(np.intp) + has_gt)
     first = np.cumsum(count) - count  # each line's name, then its box
@@ -337,8 +335,8 @@ def _numbers(text: bytes, expected: int, name: np.ndarray) -> Optional[np.ndarra
     between two delimiters and a finite JSON number or one ``repr`` writes
     with an exponent, and those at ``name`` names; None otherwise.
 
-    ``text`` is a file's bytes translated by ``_NUMBERS_ONLY``, with a
-    space before the first number and two after the last.
+    ``text`` holds the numbers between spaces, with a space before the
+    first and two after the last; a tab marks any other byte.
     """
     chars = np.frombuffer(text, np.uint8)
     number = chars > 32

@@ -255,7 +255,8 @@ def _partition_level(order, rank, pivots, sizes):
 
 
 def subtree_regions(boxes: np.ndarray, links: Sequence, levels: Sequence) -> np.ndarray:
-    """The region of each node's subtree, (4, n) float64, by node position.
+    """The region of each node's subtree, (4, n) float64, by node position,
+    merged in place on ``boxes`` when they are float64 already.
 
     ``boxes`` (4, n) holds each node's box, ``links`` its lt and gt
     positions (-1 where there is no child) and ``levels`` the positions
@@ -264,7 +265,7 @@ def subtree_regions(boxes: np.ndarray, links: Sequence, levels: Sequence) -> np.
     replacing an extreme found so far only when strictly beyond it, so
     of -0.0 and 0.0 the first found stays.
     """
-    regions = np.array(boxes, float)
+    regions = np.asarray(boxes, float)
     for level in reversed(levels):
         for link in links:
             child = link[level]

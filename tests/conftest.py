@@ -65,6 +65,10 @@ BAD_TREES = {
                               _node(2, UNIT, lt=(1, UNIT))],
     "child-reached-twice": [_node(0, UNIT, lt=(1, UNIT), gt=(1, UNIT)), _node(1, UNIT)],
     "region-misses-subtree": [_node(0, UNIT, lt=(1, UNIT)), _node(1, (5.0, 5.0, 6.0, 6.0))],
+    # the deeper miss, below node 2, is the one named
+    "two-regions-miss-subtrees": [
+        _node(0, UNIT, lt=(1, UNIT), gt=(2, (0.0, 0.0, 6.0, 6.0))), _node(1, (5.0, 5.0, 6.0, 6.0)),
+        _node(2, UNIT, gt=(3, UNIT)), _node(3, (5.0, 5.0, 6.0, 6.0))],
     "list-name": [_node([1], UNIT)],
     "string-child-name": [_node(0, UNIT, lt=("1", UNIT)), _node(1, UNIT)],
     "bool-name": [_node(True, UNIT)],

@@ -240,6 +240,18 @@ def test_file_tree_is_refused_as_its_entries_are(engine, tmp_path, case):
     assert messages[0] == messages[1]
 
 
+def test_deepest_missed_region_is_named(engine, tmp_path):
+    # bottom-up, as the regions are merged, though node 0's lt region
+    # misses too and comes first in name order
+    lines = BAD_TREES["two-regions-miss-subtrees"]
+    path = tmp_path / "tree.jsonl"
+    path.write_text("".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n" for line in lines))
+    for tree_ds in (distributed_search.file_tree(engine, io.read_tree_jsonl(path)),
+                    engine.from_items(tree_entries(lines))):
+        with pytest.raises(ValueError, match="^node 2: region of child 3 misses its subtree$"):
+            tree_root_name(tree_ds)
+
+
 def _unit_node(name, box_name=None, lt=(None, None)):
     return (name, TreeNodeValue(Box(name if box_name is None else box_name, 0.0, 0.0, 1.0, 1.0),
                                 *lt, None, None))

@@ -321,8 +321,9 @@ class TestTreeJsonl:
         monkeypatch.setattr(io, "_read_tree_lines", None)  # the line parser is not called
         assert_same_columns(io.read_tree_jsonl(path), entry_columns(entries))
 
-    def test_unit_square_tree_is_read_whole(self, tmp_path, monkeypatch):
-        # coordinates below 1e-4, which repr writes with an exponent
+    def test_unit_square_tree_takes_the_line_parser(self, tmp_path):
+        # coordinates below 1e-4, which repr writes with an exponent: the
+        # line parser reads them as written
         boxes = random_boxes(200, seed=6, hi=1.0, max_side=0.05)
         boxes += [Box(1000, 5e-5, 0.0, 2e-5 + 5e-5, 1e-5), Box(1001, 0.5, 3e-7, 0.6, 0.5)]
         columns = column_tree(BoxColumns(name_column([b.name for b in boxes]),
@@ -330,7 +331,7 @@ class TestTreeJsonl:
         path = tmp_path / "tree.jsonl"
         io.write_tree_jsonl(path, columns)
         assert re.search(r"\de-", path.read_text())
-        monkeypatch.setattr(io, "_read_tree_lines", None)  # the line parser is not called
+        assert io._parse_written(path) is None
         assert_same_columns(io.read_tree_jsonl(path), columns)
 
     def test_lines_sorted_by_name(self, tmp_path):
@@ -397,7 +398,7 @@ class TestTreeJsonl:
         _LINE_2.replace(',"gt"', ',5"gt"').replace("[0.0,", "[,"),
         _LINE_2.replace('"lt":null', '"lt":5null').replace("[0.0,", "[,"),
         _LINE_2.replace('"lt":null', '"lt":null5').replace("[0.0,", "[,"),
-        _LINE_2.replace('"gt":null', '"gt":nu1e-5ll').replace("[0.0,", "[,"),
+        _LINE_2.replace('"gt":null', '"gt":nu15ll').replace("[0.0,", "[,"),
     ])
     def test_number_outside_its_slot_rejected(self, tmp_path, line):
         path = tmp_path / "tree.jsonl"
@@ -578,8 +579,9 @@ class TestOneColumnForm:
         io.write_tree_jsonl(path, built)
         makers = [line_parser_columns(path), entry_columns(build_memory_tree(*presort(boxes)))]
         whole = io._parse_written(path)
-        # parsed whole unless a name takes the line parser
-        assert (whole is None) == (not names or max(names) >= 2**53)
+        # parsed whole unless a name or a number takes the line parser
+        exponent = re.search(r"\de", path.read_text()) is not None
+        assert (whole is None) == (not names or max(names) >= 2**53 or exponent)
         makers += [] if whole is None else [whole]
         wide = any(name >= 2**63 for name in names)
         assert built.names.dtype == (object if wide else np.int64)
