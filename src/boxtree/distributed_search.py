@@ -229,8 +229,7 @@ def _check(columns: TreeColumns) -> _Tree:
 
 
 def _check_boxes(names: np.ndarray, box: np.ndarray) -> None:
-    """Raise ``validate_box``'s ValueError for the first box of the columns
-    (4, n) that is not finite or is inverted."""
+    """Raise ``validate_box``'s ValueError for the first bad box of the columns (4, n)."""
     valid = np.isfinite(box).all(axis=0) & (box[0] <= box[2]) & (box[1] <= box[3])
     if not valid.all():
         i = int(np.argmin(valid))

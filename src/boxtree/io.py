@@ -261,8 +261,9 @@ _NUMBER_CHARS = b"0123456789.-"
 _HEAD = b'{"name":,"box":[,,,],"lt":'
 _CHILD = b'{"name":,"region":[,,,]}'
 _SHAPES = [_HEAD + lt + b',"gt":' + gt + b"}\n" for lt in (_CHILD, b"null") for gt in (_CHILD, b"null")]
-# numbers between spaces: a delimiter a number may touch is a space, any other byte a tab
-_NUMBERS_ONLY = bytes(c if c in _NUMBER_CHARS else 32 if c in b",:[]\n" else 9 for c in range(256))
+# numbers between delimiters that np.fromstring skips, and 9 for any other byte
+_DELIMITERS = dict(zip(b",:\n[]", b"   \n\v"))  # a space, or 10 for "[" and 11 for "]"
+_NUMBERS_ONLY = bytes(c if c in _NUMBER_CHARS else _DELIMITERS.get(c, 9) for c in range(256))
 _TENS = 10.0 ** np.arange(1, 17)  # a name below 2^53 has at most 16 digits
 
 
@@ -282,9 +283,6 @@ def _parse_written(path: str) -> Optional[TreeColumns]:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    # a number after the last line would balance an empty slot
-    if not data.endswith(b"}\n"):
-        return None
     kinds = _line_kinds(data)
     if kinds is None:
         return None
@@ -319,9 +317,9 @@ def _line_kinds(data: bytes) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Whether each line has an lt and a gt child, if every line has one of
     write_tree_jsonl's shapes; None otherwise."""
     shapes = data.translate(None, _NUMBER_CHARS)
-    # an occurrence of a shape lies within one line, so they tile the
-    # file exactly when every line is one of them
-    if not shapes or sum(shapes.count(s) * len(s) for s in _SHAPES) != len(shapes):
+    # an occurrence of a shape lies within one line, so they tile the file
+    # exactly when every line is one of them and no number follows the last
+    if not data.endswith(b"}\n") or sum(shapes.count(s) * len(s) for s in _SHAPES) != len(shapes):
         return None
     shape = np.frombuffer(shapes, np.uint8)
     starts = np.concatenate(([0], np.flatnonzero(shape == 10)[:-1] + 1))
@@ -335,21 +333,22 @@ def _numbers(text: bytes, expected: int, name: np.ndarray) -> Optional[np.ndarra
     between two delimiters and a finite JSON number or one ``repr`` writes
     with an exponent, and those at ``name`` names; None otherwise.
 
-    ``text`` holds the numbers between spaces, with a space before the
-    first and two after the last; a tab marks any other byte.
+    ``text`` holds the numbers between delimiters (a space, 10 for "[", 11
+    for "]"), one before the first and two after the last; 9 marks any other byte.
     """
     chars = np.frombuffer(text, np.uint8)
     number = chars > 32
-    # every number lies between two delimiters: one inside a key or next to
-    # a null, beside a tab, would otherwise balance an empty slot
-    beside = np.empty(len(chars) - 1, bool)  # a tab after each byte, then before it
-    for tab, digit in ((chars[1:], number[:-1]), (chars[:-1], number[1:])):
-        if np.logical_and(np.equal(tab, 9, out=beside), digit, out=beside).any():
-            return None
-    del beside, tab, digit  # the views would keep number alive
+    # every number follows a space or "[" and precedes a space or "]": one in
+    # a key, by a null or outside a bracket would balance an empty slot
+    after = np.empty(len(chars) - 1, bool)
+    if np.logical_and(np.less(chars[1:], 11, out=after), number[:-1], out=after).any():
+        return None
+    del after
     token = np.flatnonzero(number[1:] > number[:-1]) + 1  # where each number starts
     del number
     if len(token) != expected:  # a number slot was empty
+        return None
+    if not np.isin(chars[token - 1], (32, 10)).all():
         return None
     # an exponent as repr writes it, after a digit: "e", a sign and a
     # digit ("1e5" and "+1" are not); never in a name
@@ -369,7 +368,7 @@ def _numbers(text: bytes, expected: int, name: np.ndarray) -> Optional[np.ndarra
     # reads "-0" as the integer 0, where float parsing reads -0.0
     minus = chars[token] == ord("-")
     lead = token + minus
-    if ((chars[lead] == ord("0")) & (_digits(chars[lead + 1]) | minus & (chars[lead + 1] == 32))).any():
+    if ((chars[lead] == ord("0")) & (_digits(chars[lead + 1]) | minus & (chars[lead + 1] <= 32))).any():
         return None
     del minus, lead
     dots = np.flatnonzero(chars == ord("."))

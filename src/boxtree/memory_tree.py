@@ -255,8 +255,8 @@ def _partition_level(order, rank, pivots, sizes):
 
 
 def subtree_regions(boxes: np.ndarray, links: Sequence, levels: Sequence) -> np.ndarray:
-    """The region of each node's subtree, (4, n) float64, by node position,
-    merged in place on ``boxes`` when they are float64 already.
+    """The region of each node's subtree, (4, n) float64, by node position;
+    merged in place when ``boxes`` are float64.
 
     ``boxes`` (4, n) holds each node's box, ``links`` its lt and gt
     positions (-1 where there is no child) and ``levels`` the positions

@@ -298,6 +298,7 @@ HAND_EDITED = {
     "unsorted": [_LINE_2, _LINE_1],
     # the integer 0, which float parsing would read as -0.0
     "minus-zero-integer": [_LINE_1, _LINE_2.replace("[0.0,0.0,", "[-0,0.0,")],
+    "minus-zero-integer-last": [_LINE_1, _LINE_2.replace("1.0,1.0]", "1.0,-0]")],
     "crlf": [_LINE_1 + "\r", _LINE_2 + "\r"],
 }
 
@@ -399,6 +400,8 @@ class TestTreeJsonl:
         _LINE_2.replace('"lt":null', '"lt":5null').replace("[0.0,", "[,"),
         _LINE_2.replace('"lt":null', '"lt":null5').replace("[0.0,", "[,"),
         _LINE_2.replace('"gt":null', '"gt":nu15ll').replace("[0.0,", "[,"),
+        _LINE_2.replace('"box":[0.0,', '"box":0.0[,'),
+        _LINE_2.replace("1.0,1.0]", "1.0,]1.0"),
     ])
     def test_number_outside_its_slot_rejected(self, tmp_path, line):
         path = tmp_path / "tree.jsonl"
