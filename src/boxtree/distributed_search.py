@@ -272,7 +272,8 @@ def init_queries(search_ds: PairDataset, root_name: Optional[int]) -> PairDatase
     if len(items) == 1 and isinstance(items[0][1], BoxColumns):
         boxes = items[0][1]
     else:
-        coords = np.array([box[1:] for _, box in items], float).reshape(-1, 4).T
+        coordinates = chain.from_iterable(map(itemgetter(slice(1, None)), map(itemgetter(1), items)))
+        coords = np.fromiter(coordinates, float, 4 * len(items)).reshape(-1, 4).T
         boxes = BoxColumns(name_column([name for name, _ in items]), coords)
     _check_boxes(*boxes)
     count = len(boxes.names)
