@@ -54,7 +54,8 @@ def _timer(phase: str, engine: Engine, boxes, cutoff: int) -> Callable[[], float
     A search's tree and queries are made here, untimed, and each call
     times a search against a fresh copy of the tree.
     """
-    # spin up the pool threads outside the timed region
+    # start the pool's workers - 1 threads (the calling thread is the other
+    # worker) outside the timed region
     engine.from_items(range(engine.config.workers * 2)).map(lambda x: x).collect()
     if phase == "build":
 

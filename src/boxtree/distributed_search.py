@@ -41,7 +41,7 @@ passes, and the accumulated pairs are grouped per query.
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
+from itertools import chain, compress, product, repeat
 from operator import is_not, itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -63,9 +63,10 @@ __all__ = [
 ]
 
 # Visits tested at once by a pass's visitor. It bounds the numpy
-# temporaries of each worker thread, which the allocator keeps after a
-# pass ends: testing whole frontier blocks (~60k visits) instead left the
-# peak RSS of a grid search at n = 2^15 about 3 MB higher (2 workers).
+# temporaries of each worker (the calling thread or a pool thread), which
+# the allocator keeps after a pass ends: testing whole frontier blocks
+# (~60k visits) instead left the peak RSS of a grid search at n = 2^15
+# about 3 MB higher (2 workers).
 _SLICE = 8192
 
 
@@ -213,19 +214,24 @@ def _check(columns: TreeColumns) -> _Tree:
     if unreachable:
         raise ValueError(f"{unreachable} nodes are unreachable from the root")
 
-    # every child region must hold its subtree's; the first miss bottom-up is named
+    # every child region must hold its subtree's, tested in one pass; only
+    # when one misses are the levels walked, to name the first miss bottom-up
     tight = subtree_regions(rects[:, 0].copy(), children.T, levels)
-    for level in reversed(levels):
-        for side in (0, 1):
-            kid = children[level, side]
-            parent, kid = level[kid >= 0], kid[kid >= 0]
-            region, sub = rects[:, 1 + side, parent], tight[:, kid]
-            inside = (region[:2] <= sub[:2]).all(axis=0) & (sub[2:] <= region[2:]).all(axis=0)
-            if not inside.all():
-                bad = int(np.argmin(inside))
-                parent_name, kid_name = names[parent[bad]], names[kid[bad]]
+    if _misses(rects, tight, children, *np.nonzero(children >= 0)).any():
+        for level, side in product(reversed(levels), (0, 1)):
+            parent = level[children[level, side] >= 0]
+            missed = _misses(rects, tight, children, parent, side)
+            if missed.any():
+                bad = parent[np.argmax(missed)]
+                parent_name, kid_name = names[bad], names[children[bad, side]]
                 raise ValueError(f"node {parent_name}: region of child {kid_name} misses its subtree")
     return _Tree(rects, children, names, int(roots[0]))
+
+
+def _misses(rects: np.ndarray, tight: np.ndarray, children: np.ndarray, parent, side) -> np.ndarray:
+    """Whether each child region (``parent``, ``side``) misses its subtree's region ``tight``."""
+    region, sub = rects[:, 1 + side, parent], tight[:, children[parent, side]]
+    return ~((region[:2] <= sub[:2]).all(axis=0) & (sub[2:] <= region[2:]).all(axis=0))
 
 
 def _check_boxes(names: np.ndarray, box: np.ndarray) -> None:

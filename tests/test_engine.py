@@ -1,4 +1,6 @@
 import random
+import threading
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -309,6 +311,108 @@ class TestActions:
         with pytest.raises(IndexError):
             engine.from_items([]).last()
 
+
+
+class TestPerPartition:
+    def test_workers_1_runs_inline_with_no_pool(self):
+        threads = []
+        with Engine(EngineConfig(workers=1)) as engine:
+            out = engine.from_items(range(10), 5).map(
+                lambda x: threads.append(threading.current_thread()) or x)
+            assert out.collect() == list(range(10))
+            assert engine._pool is None
+        assert threads == [threading.current_thread()] * 10
+
+    def test_one_partition_runs_inline_with_no_pool(self):
+        with Engine(EngineConfig(workers=4)) as engine:
+            threads = engine.per_partition([(1, 2)], lambda part: threading.current_thread())
+            assert threads == [threading.current_thread()]
+            assert engine._pool is None
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_first_partition_runs_on_the_calling_thread(self, workers):
+        with Engine(EngineConfig(workers=workers)) as engine:
+            parts = [(i,) for i in range(2 * workers)]
+            for _ in range(5):
+                threads = engine.per_partition(parts, lambda part: threading.current_thread())
+                assert threads[0] is threading.current_thread()
+                assert threading.current_thread() not in threads[1:]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_at_most_workers_partitions_run_at_once(self, workers):
+        lock = threading.Lock()
+        running = peak = 0
+
+        def work(part):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            time.sleep(0.01)
+            with lock:
+                running -= 1
+            return part
+
+        with Engine(EngineConfig(workers=workers)) as engine:
+            ds = engine.from_items(range(6 * workers), 3 * workers)
+            assert engine.per_partition(ds.partitions, work) == list(ds.partitions)
+        assert peak <= workers
+
+    def test_results_in_partition_order_when_a_later_one_finishes_first(self):
+        finished = []
+
+        def work(part):
+            time.sleep(0.02 * (3 - part[0]))  # partition 3 first, partition 0 last
+            finished.append(part[0])
+            return part[0]
+
+        with Engine(EngineConfig(workers=4)) as engine:
+            assert engine.per_partition([(i,) for i in range(4)], work) == [0, 1, 2, 3]
+        assert finished[0] != 0
+
+    def test_failure_waits_for_every_partition(self):
+        done = threading.Event()
+
+        def work(part):
+            if part == (0,):
+                raise ValueError("partition 0")
+            time.sleep(0.1)
+            done.set()
+            return part
+
+        with Engine(EngineConfig(workers=2)) as engine:
+            with pytest.raises(ValueError, match="partition 0"):
+                engine.per_partition([(0,), (1,)], work)
+            assert done.is_set()
+
+    def test_failure_in_the_pool_waits_for_every_partition(self):
+        done = threading.Event()
+
+        def work(part):
+            if part == (1,):
+                raise ValueError("partition 1")
+            if part == (2,):
+                time.sleep(0.1)
+                done.set()
+            return part
+
+        with Engine(EngineConfig(workers=3)) as engine:
+            with pytest.raises(ValueError, match="partition 1"):
+                engine.per_partition([(0,), (1,), (2,)], work)
+            assert done.is_set()
+
+    def test_first_failure_in_partition_order_is_raised(self):
+        def work(part):
+            if part == (1,):
+                time.sleep(0.05)  # fails after partition 2 has failed
+                raise ValueError("partition 1")
+            if part == (2,):
+                raise KeyError("partition 2")
+            return part
+
+        with Engine(EngineConfig(workers=3)) as engine:
+            with pytest.raises(ValueError, match="partition 1"):
+                engine.per_partition([(0,), (1,), (2,)], work)
 
 def _apply_random_pipeline(engine, case_seed):
     rng = random.Random(case_seed)
