@@ -314,20 +314,13 @@ class TestActions:
 
 
 class TestPerPartition:
-    def test_workers_1_runs_inline_with_no_pool(self):
-        threads = []
-        with Engine(EngineConfig(workers=1)) as engine:
-            out = engine.from_items(range(10), 5).map(
-                lambda x: threads.append(threading.current_thread()) or x)
-            assert out.collect() == list(range(10))
+    @pytest.mark.parametrize("workers, partitions", [(1, 5), (4, 1)])
+    def test_workers_1_or_one_partition_runs_inline_with_no_pool(self, workers, partitions):
+        with Engine(EngineConfig(workers=workers)) as engine:
+            ds = engine.from_items(range(10), partitions)
+            threads = engine.per_partition(ds.partitions, lambda part: threading.current_thread())
             assert engine._pool is None
-        assert threads == [threading.current_thread()] * 10
-
-    def test_one_partition_runs_inline_with_no_pool(self):
-        with Engine(EngineConfig(workers=4)) as engine:
-            threads = engine.per_partition([(1, 2)], lambda part: threading.current_thread())
-            assert threads == [threading.current_thread()]
-            assert engine._pool is None
+        assert threads == [threading.current_thread()] * partitions
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_first_partition_runs_on_the_calling_thread(self, workers):
