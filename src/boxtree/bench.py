@@ -107,8 +107,8 @@ def _n_sweep(
     the first call at a size pays for cold caches and fresh pages, which
     slowed the largest sizes most and bent the n log n fit.
     """
-    if min_exp > max_exp:
-        raise ValueError("empty exponent range")
+    if min_exp >= max_exp:
+        raise ValueError(f"n log n fit needs at least 2 sizes, got min_exp {min_exp} >= max_exp {max_exp}")
     _check_repeats(repeats)
     sizes = [2**exp for exp in range(min_exp, max_exp + 1)]
     records: List[BenchRecord] = []

@@ -52,7 +52,6 @@ from .geometry import Box, validate_box
 from .memory_tree import BoxColumns, TreeColumns, TreeGraphEntry, name_column, subtree_regions
 
 __all__ = [
-    "TreeColumns",
     "entry_columns",
     "file_tree",
     "column_queries",

@@ -4,15 +4,15 @@ The upper tree is built by subdividing four presorted datasets (x_min,
 y_min, x_max and y_max super-key order) with the memory build's
 recursion: each node splits its datasets at the median, recurses into
 both children and returns its name and region, read off the first/last
-elements of its own four datasets, to its parent. At a cutoff depth the
-current datasets are collected to arrays, and the subtrees below are
-built by the memory-resident algorithm, which is several orders of
-magnitude faster per element, as one ``flat_map`` over a dataset of
-subtree jobs on the engine's workers. At cutoff 0 nothing is subdivided,
-so there is no four-way presort and no job: the caller's thread presorts
-the boxes in memory and builds the whole tree (on a worker thread, the
-allocator would keep the build's numpy temporaries in that thread's
-arena and raise the peak memory).
+elements of its own four datasets as the memory build's float64 values,
+to its parent. At a cutoff depth the current datasets are collected to
+arrays, and the subtrees below are built by the memory-resident
+algorithm, which is several orders of magnitude faster per element, as
+one ``flat_map`` over a dataset of subtree jobs on the engine's workers.
+At cutoff 0 nothing is subdivided, so there is no four-way presort and
+no job: the caller's thread presorts the boxes in memory and builds the
+whole tree (on a worker thread, the allocator would keep the build's
+numpy temporaries in that thread's arena and raise the peak memory).
 """
 
 from __future__ import annotations
@@ -70,14 +70,12 @@ def region_from_sorted(
     """Bounding region of a box set, read off its four sorted datasets.
 
     First element of each min-sorted dataset, last element of each
-    max-sorted one. Raises IndexError on empty datasets.
+    max-sorted one, as the memory build's regions are: float64, a zero
+    extreme +0.0. Raises IndexError on empty datasets.
     """
-    return Region(
-        ds_xmin.first().x_min,
-        ds_ymin.first().y_min,
-        ds_xmax.last().x_max,
-        ds_ymax.last().y_max,
-    )
+    extremes = (ds_xmin.first().x_min, ds_ymin.first().y_min,
+                ds_xmax.last().x_max, ds_ymax.last().y_max)
+    return Region(*[float(v) or 0.0 for v in extremes])
 
 
 def build_distributed_tree(

@@ -9,7 +9,7 @@ names, each box and that no name repeats in box CSVs, that no query
 repeats in result CSVs, and each record's values in bench CSVs.
 
 A box CSV is read into columns (``memory_tree.BoxColumns``) and a tree
-file into the search's raw columns (``distributed_search.TreeColumns``),
+file into the search's raw columns (``memory_tree.TreeColumns``),
 not into per-row or per-node objects: a file as ``write_boxes_csv`` or
 ``write_tree_jsonl`` writes it is parsed whole with numpy, and any other
 file, or one a check refuses, goes through a line-by-line parser, which

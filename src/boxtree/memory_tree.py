@@ -8,7 +8,8 @@ segment's median in the split order is its node's box; the other order
 is partitioned stably around it by rank, which preserves both sort
 orders all the way down and gives an O(n log n) build without median
 finding. The regions are then merged bottom-up in float64, one
-vectorized pass per level (``subtree_regions``).
+vectorized pass per level (``subtree_regions``): a region is its
+subtree's float64 extremes, a zero extreme +0.0, in every build.
 
 That one build core (``_build``) has two outputs:
 
@@ -128,7 +129,7 @@ def build_memory_tree(
     The split axis cycles x_min, y_min with depth (x_min at even depths).
     The median of a length-n array is index n // 2. The entries' boxes
     are the caller's objects; every region holds the float64 extremes of
-    its subtree as Python floats, merged by ``subtree_regions``.
+    its subtree as Python floats, zero as +0.0 (``subtree_regions``).
 
     Returns the (name, TreeNodeValue) entries in pre-order, root first;
     an empty list for empty input.
@@ -153,10 +154,9 @@ def column_tree(boxes: BoxColumns) -> TreeColumns:
     """Build the balanced tree of boxes with unique names, as raw columns
     in name order.
 
-    The tree of ``build_memory_tree(*presort(boxes.boxes()))``, the first
-    of equal extremes included: ``np.lexsort`` presorts the columns, the
-    build's box indices pick each node's name and box, and its regions
-    the child regions.
+    The tree of ``build_memory_tree(*presort(boxes.boxes()))``:
+    ``np.lexsort`` presorts the columns, the build's box indices pick
+    each node's name and box, and its regions the child regions.
     """
     names, coords = boxes
     n = len(names)
@@ -260,19 +260,19 @@ def subtree_regions(boxes: np.ndarray, links: Sequence, levels: Sequence) -> np.
 
     ``boxes`` (4, n) holds each node's box, ``links`` its lt and gt
     positions (-1 where there is no child) and ``levels`` the positions
-    of each level's nodes, root level first. Merged bottom-up, one level
-    at a time: a node's own box, then its lt and its gt region, each
-    replacing an extreme found so far only when strictly beyond it, so
-    of -0.0 and 0.0 the first found stays.
+    of each level's nodes, root level first. A region is one value
+    whatever the merge order: the float64 min and max of its subtree's
+    coordinates, merged bottom-up one level at a time, with a zero
+    extreme always +0.0.
     """
     regions = np.asarray(boxes, float)
     for level in reversed(levels):
         for link in links:
             child = link[level]
             parent, child = level[child >= 0], child[child >= 0]
-            now, found = regions[:, parent], regions[:, child]
-            beyond = np.vstack((found[:2] < now[:2], found[2:] > now[2:]))
-            regions[:, parent] = np.where(beyond, found, now)
+            regions[:2, parent] = np.minimum(regions[:2, parent], regions[:2, child])
+            regions[2:, parent] = np.maximum(regions[2:, parent], regions[2:, child])
+    regions += 0.0  # -0.0 + 0.0 is +0.0
     return regions
 
 

@@ -3,12 +3,16 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
 lines and timings as they happen. The timing-based criteria measure real
 wall-clock behaviour of this machine, so they take a few minutes in
-total; the pure-correctness criteria finish in seconds.
+total; the pure-correctness criteria finish in seconds. The timing
+criteria (4-7) carry the ``timing`` marker, so ``pytest -m "not timing"``
+runs everything else.
 """
 
 import math
 import random
 from time import perf_counter
+
+import pytest
 
 from boxtree.bench import FULL_DEPTH, run_build_bench, run_scaling_bench, run_search_bench
 from boxtree.distributed_search import init_queries, run_search, search_iteration, tree_root_name
@@ -114,6 +118,7 @@ def test_criterion_3_tree_depth_balanced():
     )
 
 
+@pytest.mark.timing
 def test_criterion_4_build_time_scales_as_nlogn():
     """Hybrid build (collect at root) timed over n = 2^8..2^15; r >= 0.98."""
     t0 = perf_counter()
@@ -127,6 +132,7 @@ def test_criterion_4_build_time_scales_as_nlogn():
     )
 
 
+@pytest.mark.timing
 def test_criterion_5_search_time_scaling_informational():
     """Search sweep fit: pass at r >= 0.90, warn-pass down to 0.80."""
     t0 = perf_counter()
@@ -142,6 +148,7 @@ def test_criterion_5_search_time_scaling_informational():
     )
 
 
+@pytest.mark.timing
 def test_criterion_6_worker_scaling_model():
     """Exact recovery on synthetic data; r >= 0.95 on the measured w sweep."""
     t0 = perf_counter()
@@ -166,6 +173,7 @@ def test_criterion_6_worker_scaling_model():
     )
 
 
+@pytest.mark.timing
 def test_criterion_7_hybrid_cutoff_speedup_direction():
     """Collect-at-root build at least 10x faster than the pure dataset path."""
     t0 = perf_counter()

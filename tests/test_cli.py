@@ -1,6 +1,7 @@
 import pytest
 
 from boxtree import cli, distributed_search, io, memory_tree
+from boxtree.bench import FULL_DEPTH
 from boxtree.cli import main
 from boxtree.distributed_search import entry_columns
 from boxtree.distributed_tree import build_distributed_tree
@@ -206,6 +207,18 @@ class TestBuildFile:
         io.write_tree_jsonl(expected, entry_columns(entries))
         assert tree.read_bytes() == expected.read_bytes()
 
+    @pytest.mark.parametrize("case", sorted(CLI_BOX_SETS))
+    def test_tree_file_does_not_depend_on_the_cutoff(self, tmp_path, case):
+        boxes_csv = tmp_path / "boxes.csv"
+        io.write_boxes_csv(boxes_csv, CLI_BOX_SETS[case])
+        written = {}
+        for cutoff in (0, 1, 2, FULL_DEPTH):
+            tree = tmp_path / f"tree-{cutoff}.jsonl"
+            assert run(["build", "--in", boxes_csv, "--workers", 2, "--cutoff-depth", cutoff,
+                        "--out", tree]) == 0
+            written[cutoff] = tree.read_bytes()
+        assert all(data == written[0] for data in written.values()), case
+
     @pytest.mark.parametrize("cutoff", [0, 2])
     def test_header_only_csv_builds_an_empty_tree_file(self, tmp_path, capsys, cutoff):
         boxes_csv, tree = tmp_path / "boxes.csv", tmp_path / "tree.jsonl"
@@ -227,6 +240,15 @@ class TestBenchAndFit:
             sizes = ["--min-exp", 4, "--max-exp", 5, "--workers", 1]
         assert run(["bench", kind, *sizes, "--repeats", repeats, "--out", out]) == 2
         assert f"repeats must be >= 1, got {repeats}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("min_exp", [4, 5])
+    @pytest.mark.parametrize("kind", ["build", "search"])
+    def test_bench_refuses_fewer_than_2_sizes(self, tmp_path, capsys, kind, min_exp):
+        out = tmp_path / "bench.csv"
+        assert run(["bench", kind, "--min-exp", min_exp, "--max-exp", 4, "--workers", 1,
+                    "--repeats", 1, "--out", out]) == 2
+        assert f"needs at least 2 sizes, got min_exp {min_exp} >= max_exp 4" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bench_build_then_fit(self, tmp_path, capsys):

@@ -3,12 +3,16 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from boxtree import memory_tree
+from boxtree.bench import FULL_DEPTH
+from boxtree.distributed_tree import build_distributed_tree
 from boxtree.engine import Engine, EngineConfig
 from boxtree.geometry import AXIS_XMIN, Box, DuplicateNameError, Region, superkey
 from boxtree.distributed_search import entry_columns
@@ -144,19 +148,21 @@ def big_name_boxes(n, seed):
 
 
 def float_regions(entries):
-    """The entries with every region's coordinates as floats."""
+    """The entries with every region's coordinates as floats, a zero as +0.0."""
     def region(r):
-        return None if r is None else Region(*map(float, r))
+        return None if r is None else Region(*(float(c) or 0.0 for c in r))
     return [(name, TreeNodeValue(v.box, v.lt_name, region(v.lt_region), v.gt_name, region(v.gt_region)))
             for name, v in entries]
+
+
+BOX_MAKERS = [random_boxes, tied_boxes, int_boxes, beyond_double_boxes, big_name_boxes]
 
 
 class TestEqualsReferenceBuild:
     # the array build returns the recursion's entries: the same list, order
     # and box objects, and the same regions in floats, by value and type (so
-    # -0.0 stays -0.0, and an int extreme is its float)
-    @pytest.mark.parametrize(
-        "make", [random_boxes, tied_boxes, int_boxes, beyond_double_boxes, big_name_boxes])
+    # a zero extreme is +0.0, and an int extreme is its float)
+    @pytest.mark.parametrize("make", BOX_MAKERS)
     def test_same_entries_in_the_same_order(self, make):
         for n in [*range(65), 2**10]:
             x_sorted, y_sorted = presort(make(n, seed=n))
@@ -166,16 +172,37 @@ class TestEqualsReferenceBuild:
                 assert got == want, f"n={n} depth={depth}"
                 assert repr(got) == repr(want), f"n={n} depth={depth}"
 
-    def test_region_keeps_the_first_of_equal_extremes(self):
-        # merge_region replaces an extreme only when strictly beyond it: node
-        # 1's x_min 0.0 stays ahead of its children's equal -0.0
-        boxes = [Box(0, -0.0, 0.0, 1.0, 1.0), Box(1, 0.0, 1.0, 1.0, 2.0), Box(2, -0.0, 2.0, 1.0, 3.0),
+    def test_zero_region_extremes_are_positive_at_every_cutoff(self):
+        # node 1's subtree has x_min -0.0 in boxes 0 and 1 and 0.0 in box 2:
+        # whichever the merge meets first, the region's x_min is +0.0, while
+        # each box keeps its own -0.0
+        boxes = [Box(0, -0.0, 0.0, 1.0, 1.0), Box(1, -0.0, 1.0, 1.0, 2.0), Box(2, 0.0, 2.0, 1.0, 3.0),
                  Box(3, 5.0, 0.0, 6.0, 1.0), Box(4, 6.0, 0.0, 7.0, 1.0), Box(5, 7.0, 0.0, 8.0, 1.0)]
-        entries = build(boxes)
-        root = entries[0][1]
-        assert (entries[0][0], root.lt_name) == (3, 1)
-        assert math.copysign(1.0, root.lt_region.x_min) == 1.0
-        assert repr(entries) == repr(reference_build(*presort(boxes)))
+        with Engine(EngineConfig(workers=2)) as engine:
+            for cutoff in (0, 1, 2, FULL_DEPTH):
+                entries = sorted(build_distributed_tree(boxes, engine, cutoff).collect())
+                assert (entries[3][1].lt_name, entries[1][1].lt_name) == (1, 0), f"cutoff={cutoff}"
+                regions = [r for _, v in entries for r in (v.lt_region, v.gt_region) if r is not None]
+                assert [math.copysign(1.0, r.x_min) for r in regions] == [1.0] * 5, f"cutoff={cutoff}"
+                assert repr([v.box for _, v in entries]) == repr(boxes)
+        tree = column_tree(box_columns(boxes))
+        regions = tree.rects[:, 1:]
+        assert not np.signbit(regions[~np.isnan(regions)]).any()
+        assert np.signbit(tree.rects[0, 0]).tolist() == [True, True, False, False, False, False]
+
+
+class TestDistributedBuildEqualsMemoryBuild:
+    # every cutoff and worker count builds the memory build's entries, the
+    # same by repr: boxes are the caller's objects, regions the same floats
+    @pytest.mark.parametrize("make", BOX_MAKERS)
+    def test_same_entries_by_repr(self, make):
+        with Engine(EngineConfig(workers=1)) as one, Engine(EngineConfig(workers=4)) as four:
+            for n in [*range(65), 2**10]:
+                boxes = make(n, seed=n)
+                want = repr(sorted(build_memory_tree(*presort(boxes)), key=itemgetter(0)))
+                for engine, cutoff in product((one, four), (0, 1, 2, 4, FULL_DEPTH)):
+                    got = sorted(build_distributed_tree(boxes, engine, cutoff).collect(), key=itemgetter(0))
+                    assert repr(got) == want, f"n={n} workers={engine.config.workers} cutoff={cutoff}"
 
 
 def box_columns(boxes):
