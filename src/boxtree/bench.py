@@ -9,7 +9,9 @@ scheduler noise at desk scale.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import Callable, Dict, List, Tuple
 
@@ -52,30 +54,33 @@ def _timer(phase: str, engine: Engine, boxes, cutoff: int) -> Callable[[], float
     ``cutoff``) or one search of ``boxes`` and returns its seconds.
 
     A search's tree and queries are made here, untimed, and each call
-    times a search against a fresh copy of the tree.
+    times a search against a fresh copy of the tree. Each call freezes
+    the heap it starts from (``gc.freeze``), so that a full collection in
+    it scans only what the timed code made, not the caller's whole heap.
     """
     # start the pool's workers - 1 threads (the calling thread is the other
     # worker) outside the timed region
     engine.from_items(range(engine.config.workers * 2)).map(lambda x: x).collect()
     if phase == "build":
+        run = partial(build_distributed_tree, boxes, engine, cutoff)
+    else:
+        tree_ds = build_distributed_tree(boxes, engine, 0)
+        search_ds = engine.from_items([(b.name, b) for b in boxes])
 
-        def once() -> float:
-            t0 = perf_counter()
-            build_distributed_tree(boxes, engine, cutoff)
-            return perf_counter() - t0
-
-        return once
-    tree_ds = build_distributed_tree(boxes, engine, 0)
-    search_ds = engine.from_items([(b.name, b) for b in boxes])
+        def run() -> None:
+            # the same entries without the columns an earlier search kept on
+            # them, so each timed search pays the tree check and conversion as
+            # a CLI search does
+            run_search(search_ds, PartitionedDataset(engine, tree_ds.partitions))
 
     def once() -> float:
-        # the same entries without the columns an earlier search kept on
-        # them, so each timed search pays the tree check and conversion as
-        # a CLI search does
-        fresh_tree = PartitionedDataset(engine, tree_ds.partitions)
-        t0 = perf_counter()
-        run_search(search_ds, fresh_tree)
-        return perf_counter() - t0
+        gc.freeze()
+        try:
+            t0 = perf_counter()
+            run()
+            return perf_counter() - t0
+        finally:
+            gc.unfreeze()
 
     return once
 

@@ -18,11 +18,11 @@ from .bench import (
     run_scaling_bench,
     run_search_bench,
 )
-from .distributed_search import column_queries, entry_columns, file_tree, run_search
+from .distributed_search import column_queries, file_tree, run_search
 from .distributed_tree import build_distributed_tree
 from .engine import Engine, EngineConfig
 from .fits import FitResult, fit_linear_nlogn, fit_scaling_model
-from .memory_tree import column_tree
+from .memory_tree import column_tree, entry_columns
 from .testdata import BOXES_PER_SQUARE, SquareGridSpec, generate_test_data, verify_search_results
 
 __all__ = ["main"]

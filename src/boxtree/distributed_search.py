@@ -9,12 +9,12 @@ from a file or built in-process.
 
 A tree comes in two forms. An in-process tree is a dataset of (name,
 TreeNodeValue) entries, which the check first zips into raw columns
-(``entry_columns``); a tree file is read straight into raw columns
-(``io.read_tree_jsonl``) and searched as a one-element dataset holding
-them (``file_tree``). Raw columns are numpy arrays over node positions
-(name order, so a node's position is its name's rank) of the names, the
-boxes with the child regions, and the child names, -1 for no child; the
-names and child names are one ``memory_tree.name_column`` in both forms.
+(``memory_tree.entry_columns``); a tree file is read straight into raw
+columns (``io.read_tree_jsonl``) and searched as a one-element dataset
+holding them (``file_tree``). ``memory_tree.tree_columns`` lays out both
+forms' raw columns: numpy arrays over node positions (name order, so a
+node's position is its name's rank) of the names, the boxes with the
+child regions, and the child names, -1 for no child.
 From there both forms take one path: the check maps child names to
 positions by binary search and checks the columns with array passes:
 in-degrees by ``bincount``, reachability by a level walk down from the
@@ -41,18 +41,17 @@ passes, and the accumulated pairs are grouped per query.
 
 from __future__ import annotations
 
-from itertools import chain, compress, product, repeat
-from operator import is_not, itemgetter
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from itertools import product
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .engine import Engine, PairDataset, PartitionedDataset
 from .geometry import Box, validate_box
-from .memory_tree import BoxColumns, TreeColumns, TreeGraphEntry, name_column, subtree_regions
+from .memory_tree import (BoxColumns, TreeColumns, coordinate_block, entry_columns, name_column,
+                          subtree_regions)
 
 __all__ = [
-    "entry_columns",
     "file_tree",
     "column_queries",
     "tree_root_name",
@@ -72,8 +71,7 @@ _SLICE = 8192
 class _Tree(NamedTuple):
     """A checked tree as columns over node positions, in name order."""
 
-    rects: np.ndarray  # (4, 3, n): per coordinate, of the box, lt region and gt
-    # region (NaN where there is no child), so a pass gathers contiguous rows
+    rects: np.ndarray  # (4, 3, n): TreeColumns.rects
     children: np.ndarray  # (n, 2): lt and gt positions, -1 where no child
     names: np.ndarray  # the node names ascending, TreeColumns.names
     root: int  # the root's position
@@ -139,46 +137,6 @@ def _to_columns(tree_ds: PairDataset) -> PairDataset:
     tree = _check(columns)
     root_name = tree.names[tree.root : tree.root + 1].tolist()[0]  # a Python int for int64 names
     return tree_ds.engine.from_items([(root_name, tree)], 1)
-
-
-def entry_columns(entries: Sequence[TreeGraphEntry]) -> TreeColumns:
-    """The raw columns of (name, TreeNodeValue) entries, in name order.
-
-    Refuses an entry whose box has another name, a child that has a name
-    without a region or the reverse, and a negative name, which -1, "no
-    child", would shadow; ``_check`` does the rest.
-    """
-    entries = sorted(entries, key=itemgetter(0))
-    n = len(entries)
-    rects = np.full((4, 3, n), np.nan)
-    if not entries:
-        return TreeColumns(name_column([]), rects, np.empty((0, 2), np.int64))
-    names, values = zip(*entries)
-    boxes, lt_names, lt_regions, gt_names, gt_regions = zip(*values)
-    if names != tuple(map(itemgetter(0), boxes)):
-        name, box = next((name, box) for name, box in zip(names, boxes) if name != box[0])
-        raise ValueError(f"tree entry {name} holds the box of node {box[0]}")
-    coordinates = chain.from_iterable(map(itemgetter(slice(1, None)), boxes))
-    rects[:, 0] = np.fromiter(coordinates, float, 4 * n).reshape(n, 4).T
-    all_names = list(names)  # then the lt children's, then the gt children's
-    links = []
-    for side, child_names, regions in ((0, lt_names, lt_regions), (1, gt_names, gt_regions)):
-        present = list(map(is_not, child_names, repeat(None)))
-        if present != list(map(is_not, regions, repeat(None))):
-            i = next(i for i, (c, r) in enumerate(zip(child_names, regions)) if (c is None) != (r is None))
-            raise ValueError(f"node {names[i]}: child {child_names[i]} has region {regions[i]}")
-        has = np.array(present, dtype=bool)
-        coordinates = chain.from_iterable(compress(regions, present))
-        rects[:, 1 + side, has] = np.fromiter(coordinates, float, 4 * int(has.sum())).reshape(-1, 4).T
-        all_names.extend(compress(child_names, present))
-        links.append(has)
-    # one column, so that a child named beyond int64 widens the names too
-    column = name_column(all_names)
-    if (column < 0).any():
-        raise ValueError(f"tree node name {min(column.tolist())} is negative")
-    children = np.full((n, 2), -1, dtype=column.dtype)
-    children.T[np.array(links)] = column[n:]
-    return TreeColumns(column[:n], rects, children)
 
 
 def _check(columns: TreeColumns) -> _Tree:
@@ -277,8 +235,7 @@ def init_queries(search_ds: PairDataset, root_name: Optional[int]) -> PairDatase
     if len(items) == 1 and isinstance(items[0][1], BoxColumns):
         boxes = items[0][1]
     else:
-        coordinates = chain.from_iterable(map(itemgetter(slice(1, None)), map(itemgetter(1), items)))
-        coords = np.fromiter(coordinates, float, 4 * len(items)).reshape(-1, 4).T
+        coords = coordinate_block((box[1:] for _, box in items), len(items))
         boxes = BoxColumns(name_column([name for name, _ in items]), coords)
     _check_boxes(*boxes)
     count = len(boxes.names)

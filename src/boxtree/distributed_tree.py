@@ -21,16 +21,8 @@ from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .engine import Engine, PairDataset, PartitionedDataset
-from .geometry import (
-    AXIS_XMAX,
-    AXIS_XMIN,
-    AXIS_YMAX,
-    AXIS_YMIN,
-    Box,
-    Region,
-    ensure_unique_names,
-    superkey,
-)
+from .geometry import (AXIS_XMAX, AXIS_XMIN, AXIS_YMAX, AXIS_YMIN, Box, Region, ensure_unique_names,
+                       superkey)
 from .memory_tree import TreeGraphEntry, TreeNodeValue, build_memory_tree, presort
 
 __all__ = [

@@ -14,12 +14,14 @@ not into per-row or per-node objects: a file as ``write_boxes_csv`` or
 ``write_tree_jsonl`` writes it is parsed whole with numpy, and any other
 file, or one a check refuses, goes through a line-by-line parser, which
 reports the first bad line with its number. Either way the names are a
-``memory_tree.name_column`` (int64 below 2^63), with -1 for "no child".
-The tree writer formats raw columns, as ``memory_tree.column_tree``
-builds them, a chunk of lines at a time; it writes the float64 columns
-only, so every box and region it writes must be finite, as those of a
-box CSV are. Whether tree columns form one searchable tree is checked
-by the search itself (``distributed_search.tree_root_name``).
+``memory_tree.name_column`` (int64 below 2^63), with -1 for "no child",
+laid out in name order by ``memory_tree.tree_columns`` whatever the
+lines' order. The tree writer formats raw columns, as
+``memory_tree.column_tree`` builds them, a chunk of lines at a time; it
+writes the float64 columns only, so every box and region it writes must
+be finite, as those of a box CSV are. Whether tree columns form one
+searchable tree is checked by the search (``tree_root_name``), a layer
+above this module.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 import numpy as np
 
-from .distributed_search import entry_columns
 from .geometry import Box, Region, validate_box
-from .memory_tree import BoxColumns, TreeColumns, TreeGraphEntry, TreeNodeValue, name_column
+from .memory_tree import (BoxColumns, TreeColumns, TreeGraphEntry, TreeNodeValue, coordinate_block,
+                          entry_columns, name_column, tree_columns)
 
 __all__ = [
     "BOX_CSV_HEADER",
@@ -137,7 +139,7 @@ def _read_box_rows(path: str) -> BoxColumns:
         return box
 
     boxes = _read_rows(path, BOX_CSV_HEADER, 5, parse)
-    coords = np.array([box[1:] for box in boxes], float).reshape(-1, 4).T.copy()
+    coords = coordinate_block((box[1:] for box in boxes), len(boxes)).copy()
     return BoxColumns(name_column([box[0] for box in boxes]), coords)
 
 
@@ -244,12 +246,13 @@ def read_tree_jsonl(path: str) -> TreeColumns:
     """Parse a tree file into the search's raw columns, in name order.
 
     A file spelled as ``write_tree_jsonl`` writes it, with finite
-    coordinates written without an exponent and ascending names below
-    2^53, is parsed whole into arrays (``_parse_written``). Any other
-    file is parsed line by line (``_read_tree_lines``), which reports a
-    bad line with its number. Only each line is checked here; whether the
-    nodes form a tree a search can walk is checked where every search
-    starts, ``distributed_search.tree_root_name``.
+    coordinates written without an exponent and names below 2^53, in
+    any order, is parsed whole into arrays (``_parse_written``). Any
+    other file is parsed line by line (``_read_tree_lines``), which
+    reports a bad line with its number. Only each line is checked here;
+    whether the nodes form a tree a search can walk, names unique among
+    them, is checked where every search starts,
+    ``distributed_search.tree_root_name``.
     """
     columns = _parse_written(path)
     return entry_columns(_read_tree_lines(path)) if columns is None else columns
@@ -297,20 +300,9 @@ def _parse_written(path: str) -> Optional[TreeColumns]:
     del text
     if values is None:
         return None
-    names = values[first].astype(np.int64)
-    if (names[1:] <= names[:-1]).any():  # hand-sorted or repeated: let the line parser keep it
-        return None
-
-    n = len(first)
-    rects = np.full((4, 3, n), np.nan)
-    children = np.full((n, 2), -1, dtype=np.int64)
     four = np.arange(1, 5)  # the four numbers after a name
-    rects[:, 0] = values[first[:, None] + four].T
-    rects[:, 1, has_lt] = values[lt[:, None] + four].T
-    rects[:, 2, has_gt] = values[gt[:, None] + four].T
-    children[has_lt, 0] = values[lt]
-    children[has_gt, 1] = values[gt]
-    return TreeColumns(names, rects, children)
+    links = ((has, values[at], values[at[:, None] + four].T) for has, at in zip(kinds, (lt, gt)))
+    return tree_columns(values[first].astype(np.int64), values[first[:, None] + four].T, links)
 
 
 def _line_kinds(data: bytes) -> Optional[Tuple[np.ndarray, np.ndarray]]:

@@ -18,20 +18,24 @@ That one build core (``_build``) has two outputs:
   tree's raw columns in name order (``TreeColumns``), which
   ``io.write_tree_jsonl`` formats and the search checks. No Python
   object is made per box or node; ``boxtree build`` takes this path.
-  Every name column, wherever it is made, follows ``name_column``:
-  int64, or Python ints once a name reaches 2^63, with -1 for "no
-  child" in either.
 - ``build_memory_tree``: boxes presorted by ``presort`` to
   (name, TreeNodeValue) entries in pre-order, root first, which name
   each node's children and their regions. It is the view the engine
   build and in-process trees use; its boxes are the caller's objects,
   and its regions hold Python floats, as every search reads them.
+
+``tree_columns`` lays out every ``TreeColumns`` from nodes in any
+order: ``column_tree``'s, the tree file's and those of entries
+(``entry_columns``, the inverse of ``build_memory_tree``). Every name
+column follows ``name_column``: int64, or Python ints once a name
+reaches 2^63, with -1 for "no child" in either.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain, compress, repeat
+from operator import is_not, itemgetter
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +47,10 @@ __all__ = [
     "TreeNodeValue",
     "TreeGraphEntry",
     "name_column",
+    "coordinate_block",
+    "tree_columns",
     "column_tree",
+    "entry_columns",
     "subtree_regions",
     "presort",
     "build_memory_tree",
@@ -96,8 +103,7 @@ class TreeColumns(NamedTuple):
     """A tree's nodes as raw columns, names ascending, not yet checked.
 
     The names and child names are one ``name_column``, -1 where there is
-    no child, whether read from a tree file, built by ``column_tree`` or
-    zipped from in-process entries (``distributed_search.entry_columns``).
+    no child, as ``tree_columns`` lays them out.
     """
 
     names: np.ndarray  # (n,)
@@ -105,6 +111,32 @@ class TreeColumns(NamedTuple):
     # where there is no child), so a search pass gathers contiguous rows
     rects: np.ndarray
     children: np.ndarray  # (n, 2): the lt and gt child names
+
+
+def coordinate_block(rects: Iterable[Sequence], k: int) -> np.ndarray:
+    """k rectangles of four numbers (``Region``s, ``box[1:]``s) as a (4, k)
+    float64 view (F order); an int a float cannot hold raises OverflowError."""
+    return np.fromiter(chain.from_iterable(rects), float, 4 * k).reshape(k, 4).T
+
+
+def tree_columns(names: np.ndarray, boxes: np.ndarray, links: Iterable[Tuple]) -> TreeColumns:
+    """The raw columns of nodes in any order: their names, (4, n) boxes and,
+    lt side first, which nodes have that child (bool, (n,)) and those
+    children's names and (4, k) regions, read a side at a time so that
+    each side can be gathered when it is reached. Repeated names stay."""
+    by_name = np.argsort(names, kind="stable")
+    rank = np.argsort(by_name)  # each node's position in name order
+    rects = np.full((4, 3, len(names)), np.nan)
+    rects[:, 0] = boxes[:, by_name]
+    children = np.full((len(names), 2), -1, dtype=names.dtype)
+    side = 0
+    for has, child_names, regions in links:
+        at = rank[has]
+        rects[:, 1 + side, at] = regions
+        children[at, side] = child_names
+        side += 1
+        del has, child_names, regions, at  # freed before the next side is gathered
+    return TreeColumns(names[by_name], rects, children)
 
 
 def presort(boxes: Sequence[Box]) -> Tuple[List[Box], List[Box]]:
@@ -120,9 +152,7 @@ def presort(boxes: Sequence[Box]) -> Tuple[List[Box], List[Box]]:
 
 
 def build_memory_tree(
-    x_sorted: Sequence[Box],
-    y_sorted: Sequence[Box],
-    depth: int = 0,
+    x_sorted: Sequence[Box], y_sorted: Sequence[Box], depth: int = 0
 ) -> List[TreeGraphEntry]:
     """Build the balanced tree from the two presorted arrays.
 
@@ -135,12 +165,10 @@ def build_memory_tree(
     an empty list for empty input.
     """
     n = len(x_sorted)
-    if n == 0:
-        return []
     # a box's index is its position in x_sorted
     index = dict(zip(map(itemgetter(0), x_sorted), range(n)))
     y_order = np.fromiter(map(index.__getitem__, map(itemgetter(0), y_sorted)), np.intp, n)
-    coords = np.array([box[1:] for box in x_sorted], float).T
+    coords = coordinate_block(map(itemgetter(slice(1, None)), x_sorted), n)
     node_box, links, regions = _build(coords, np.arange(n), y_order, depth)
     # each ends in a None, which a link of -1 picks
     regions = np.append(np.fromiter(map(Region, *regions.tolist()), object, n), None)
@@ -150,32 +178,54 @@ def build_memory_tree(
     return list(zip(names[:n], map(TreeNodeValue, boxes, *children)))
 
 
+def entry_columns(entries: Sequence[TreeGraphEntry]) -> TreeColumns:
+    """The raw columns of (name, TreeNodeValue) entries in any order, in
+    name order: the inverse of ``build_memory_tree``.
+
+    Refuses an entry whose box has another name, a child that has a name
+    without a region or the reverse, and a negative name, which -1, "no
+    child", would shadow; the search's check does the rest.
+    """
+    names, values = zip(*entries) if entries else ((), ())
+    boxes, lt_names, lt_regions, gt_names, gt_regions = zip(*values) if values else [()] * 5
+    if names != tuple(map(itemgetter(0), boxes)):
+        name, box = next((name, box) for name, box in zip(names, boxes) if name != box[0])
+        raise ValueError(f"tree entry {name} holds the box of node {box[0]}")
+    sides = ((lt_names, lt_regions), (gt_names, gt_regions))
+    present = [list(map(is_not, child_names, repeat(None))) for child_names, _ in sides]
+    for has, (child_names, regions) in zip(present, sides):
+        if has != list(map(is_not, regions, repeat(None))):
+            i = next(i for i, (c, r) in enumerate(zip(child_names, regions)) if (c is None) != (r is None))
+            raise ValueError(f"node {names[i]}: child {child_names[i]} has region {regions[i]}")
+    # one column, so that a child named beyond int64 widens the names too
+    column = name_column([*names, *compress(lt_names, present[0]), *compress(gt_names, present[1])])
+    if (column < 0).any():
+        raise ValueError(f"tree node name {min(column.tolist())} is negative")
+    n = len(names)
+    child_columns = np.split(column[n:], [sum(present[0])])
+    links = ((np.array(has, bool), kids, coordinate_block(compress(regions, has), len(kids)))
+             for has, kids, (_, regions) in zip(present, child_columns, sides))
+    return tree_columns(column[:n], coordinate_block(map(itemgetter(slice(1, None)), boxes), n), links)
+
+
 def column_tree(boxes: BoxColumns) -> TreeColumns:
     """Build the balanced tree of boxes with unique names, as raw columns
     in name order.
 
     The tree of ``build_memory_tree(*presort(boxes.boxes()))``:
-    ``np.lexsort`` presorts the columns, the build's box indices pick
-    each node's name and box, and its regions the child regions.
+    ``np.lexsort`` presorts the columns, and the build's box indices and
+    regions give each box's child names and regions.
     """
     names, coords = boxes
-    n = len(names)
-    rects = np.full((4, 3, n), np.nan)
-    children = np.full((n, 2), -1, dtype=names.dtype)
-    if n == 0:
-        return TreeColumns(names, rects, children)
     x_order = np.lexsort((names, coords[AXIS_XMIN]))
     y_order = np.lexsort((names, coords[AXIS_YMIN]))
     node_box, links, regions = _build(coords, x_order, y_order, 0)
-    pre_names = names[node_box]
-    by_name = np.argsort(pre_names, kind="stable")  # pre-order positions in name order
-    rects[:, 0] = coords[:, node_box[by_name]]
-    for side, link in enumerate(links):
-        child = link[by_name]
-        has = child >= 0
-        rects[:, 1 + side, has] = regions[:, child[has]]
-        children[has, side] = pre_names[child[has]]
-    return TreeColumns(pre_names[by_name], rects, children)
+    # each box's pre-order position: the nodes go in box order, so the boxes need no gather
+    pre = np.empty_like(node_box)
+    pre[node_box] = np.arange(len(names))
+    sides = ((kid >= 0, names[node_box[kid[kid >= 0]]], regions[:, kid[kid >= 0]])
+             for kid in (link[pre] for link in links))
+    return tree_columns(names, coords, sides)
 
 
 def _build(coords, x_order, y_order, depth):
@@ -219,7 +269,7 @@ def _subdivide(ranks, y_order, depth):
     levels = []
     orders = [ranks[AXIS_XMIN], y_order]
     sizes, pre = np.array([n]), np.array([0])
-    while sizes.size:
+    while sizes.any():  # only the root's segment can be empty
         axis = depth & 1
         half = sizes // 2
         medians = np.cumsum(sizes) - sizes + half
@@ -279,10 +329,14 @@ def subtree_regions(boxes: np.ndarray, links: Sequence, levels: Sequence) -> np.
 def tree_depth(entries: Sequence[TreeGraphEntry]) -> int:
     """Levels of the tree rooted at the first entry (0 for none, 1 for a leaf).
 
-    Raises ValueError once the walk down passes ``len(entries)`` levels,
-    which only a cycle makes it do.
+    Raises ValueError for a child name with no entry, and once the walk
+    down passes ``len(entries)`` levels, which only a cycle makes it do.
     """
     by_name = dict(entries)
+    for name, value in entries:
+        for child in (value.lt_name, value.gt_name):
+            if child is not None and child not in by_name:
+                raise ValueError(f"node {name}: child {child} has no entry")
     level = [entries[0][0]] if entries else []
     depth = 0
     while level:

@@ -1,12 +1,14 @@
+import json
+
 import pytest
 
 from boxtree import cli, distributed_search, io, memory_tree
 from boxtree.bench import FULL_DEPTH
 from boxtree.cli import main
-from boxtree.distributed_search import entry_columns
 from boxtree.distributed_tree import build_distributed_tree
 from boxtree.engine import Engine, EngineConfig
 from boxtree.geometry import Box
+from boxtree.memory_tree import entry_columns
 from boxtree.testdata import SquareGridSpec, generate_test_data
 
 from conftest import BAD_TREES, random_boxes
@@ -138,6 +140,22 @@ class TestBuildSearchPipeline:
         code = run(["search", "--tree", tree, "--queries", queries,
                     "--workers", 1, "--out", tmp_path / "r.csv"])
         assert code == 2
+
+    @pytest.mark.parametrize("as_written", [True, False])
+    def test_repeated_tree_node_exits_2(self, tmp_path, capsys, as_written):
+        # read whole when spelled as write_tree_jsonl spells it, line by
+        # line when spelled with json.dumps's spaces: refused alike
+        lines = BAD_TREES["duplicate-name"]
+        if as_written:
+            lines = [json.dumps(json.loads(line), separators=(",", ":")) for line in lines]
+        tree, queries = tmp_path / "tree.jsonl", tmp_path / "queries.csv"
+        tree.write_text("\n".join(lines) + "\n")
+        assert (io._parse_written(tree) is not None) == as_written
+        io.write_boxes_csv(queries, [Box(50, 0.0, 0.0, 1.0, 1.0)])
+        code = run(["search", "--tree", tree, "--queries", queries,
+                    "--workers", 1, "--out", tmp_path / "r.csv"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: duplicate tree node 1\n"
 
     def test_no_queries_against_an_empty_tree(self, tmp_path):
         boxes, tree, results = tmp_path / "boxes.csv", tmp_path / "tree.jsonl", tmp_path / "r.csv"

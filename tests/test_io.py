@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +13,9 @@ from boxtree import io
 from boxtree.bench import BenchRecord
 from boxtree.engine import Engine, EngineConfig
 from boxtree.geometry import Box, Region
-from boxtree.distributed_search import entry_columns
 from boxtree.distributed_tree import build_distributed_tree
 from boxtree.memory_tree import (
-    BoxColumns, TreeNodeValue, build_memory_tree, column_tree, name_column, presort,
+    BoxColumns, TreeNodeValue, build_memory_tree, column_tree, entry_columns, name_column, presort,
 )
 from boxtree.testdata import SquareGridSpec, generate_test_data
 
@@ -286,6 +289,13 @@ _plain_nodes = _nodes_of(_plain_numbers, st.integers(min_value=0, max_value=2**5
 _LINE_1 = '{"name":0,"box":[0.0,0.0,1.0,1.0],"lt":null,"gt":{"name":1,"region":[0.0,0.0,1.0,1.0]}}'
 _LINE_2 = '{"name":1,"box":[0.0,0.0,1.0,1.0],"lt":null,"gt":null}'
 
+# files spelled as write_tree_jsonl spells them, in another name order:
+# read whole; a repeated name is left for the search's check to refuse
+ANY_NAME_ORDER = {
+    "unsorted": [_LINE_2, _LINE_1],
+    "repeated-name": [_LINE_1, _LINE_2, _LINE_2],
+}
+
 # valid files spelled otherwise than write_tree_jsonl spells them
 HAND_EDITED = {
     "spaces": [_LINE_1.replace(":", ": ").replace(",", ", "), _LINE_2],
@@ -295,7 +305,6 @@ HAND_EDITED = {
     "non-finite": [_LINE_1.replace("[0.0,0.0,1.0,1.0]}}", "[-Infinity,NaN,Infinity,1.0]}}"), _LINE_2],
     "name-beyond-2^53": [_LINE_1.replace('"name":1', f'"name":{2**53}'),
                          _LINE_2.replace('"name":1', f'"name":{2**53}')],
-    "unsorted": [_LINE_2, _LINE_1],
     # the integer 0, which float parsing would read as -0.0
     "minus-zero-integer": [_LINE_1, _LINE_2.replace("[0.0,0.0,", "[-0,0.0,")],
     "minus-zero-integer-last": [_LINE_1, _LINE_2.replace("1.0,1.0]", "1.0,-0]")],
@@ -379,6 +388,13 @@ class TestTreeJsonl:
         path = tmp_path / "tree.jsonl"
         path.write_text("\n".join(HAND_EDITED[case]) + "\n")
         assert io._parse_written(path) is None
+        assert_same_columns(io.read_tree_jsonl(path), line_parser_columns(path))
+
+    @pytest.mark.parametrize("case", sorted(ANY_NAME_ORDER))
+    def test_file_in_any_name_order_is_read_whole(self, tmp_path, case):
+        path = tmp_path / "tree.jsonl"
+        path.write_text("\n".join(ANY_NAME_ORDER[case]) + "\n")
+        assert io._parse_written(path) is not None
         assert_same_columns(io.read_tree_jsonl(path), line_parser_columns(path))
 
     @settings(max_examples=100, deadline=None)
@@ -534,6 +550,23 @@ class TestValidateTree:
         path.write_text(f"{_LINE_1}\n{bad}\n")
         with pytest.raises(ValueError, match=r"tree\.jsonl:2: malformed tree entry: "):
             io.read_tree_jsonl(path)
+
+
+LAYERING = """
+import sys
+import boxtree.io
+print(sorted(m for m in ("boxtree.distributed_search", "boxtree.engine") if m in sys.modules))
+"""
+
+
+def test_io_imports_neither_the_search_nor_the_engine():
+    # the file formats sit below the search: a fresh interpreter shows
+    # what importing them pulls in
+    src = str(Path(io.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", LAYERING], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # Each reader, its file's header (None for a tree file) and a good line for a number

@@ -15,12 +15,13 @@ from boxtree.bench import FULL_DEPTH
 from boxtree.distributed_tree import build_distributed_tree
 from boxtree.engine import Engine, EngineConfig
 from boxtree.geometry import AXIS_XMIN, Box, DuplicateNameError, Region, superkey
-from boxtree.distributed_search import entry_columns
 from boxtree.memory_tree import (
     BoxColumns,
     TreeNodeValue,
     build_memory_tree,
     column_tree,
+    coordinate_block,
+    entry_columns,
     name_column,
     presort,
     tree_depth,
@@ -243,6 +244,14 @@ class TestColumnTree:
         assert got.children.shape == (0, 2)
 
 
+def test_coordinate_block_refuses_an_int_beyond_a_float():
+    block = coordinate_block([Region(0.0, 1.0, 2.0, 3.0), (4, 5, 6, 7)], 2)
+    assert block.dtype == np.float64
+    assert block.tolist() == [[0.0, 4.0], [1.0, 5.0], [2.0, 6.0], [3.0, 7.0]]
+    with pytest.raises(OverflowError):
+        coordinate_block([(0, 0, 10**400, 1)], 1)
+
+
 class TestBuild:
     def test_single_box_leaf(self):
         b = Box(3, 1.0, 2.0, 3.0, 4.0)
@@ -327,6 +336,22 @@ class TestTreeDepth:
             (2, TreeNodeValue(Box(2, *unit), None, None, None, None)),
         ]
         assert tree_depth(chain) == 3
+
+
+class TestMissingChild:
+    # node 1's lt child, 7, has no entry: named, not a KeyError or a cycle
+    unit = Region(0.0, 0.0, 1.0, 1.0)
+    node_1 = (1, TreeNodeValue(Box(1, *unit), 7, unit, None, None))
+
+    def test_below_the_root(self):
+        entries = [(0, TreeNodeValue(Box(0, *self.unit), 1, self.unit, 2, self.unit)), self.node_1,
+                   (2, TreeNodeValue(Box(2, *self.unit), None, None, None, None))]
+        with pytest.raises(ValueError, match="^node 1: child 7 has no entry$"):
+            tree_depth(entries)
+
+    def test_of_the_only_entry(self):
+        with pytest.raises(ValueError, match="^node 1: child 7 has no entry$"):
+            tree_depth([self.node_1])
 
 
 # 0 -> 1 -> 0, each box and region [0, 0, 1, 1]
