@@ -16,8 +16,8 @@ from time import perf_counter
 from typing import Callable, Dict, List, Tuple
 
 from .distributed_search import run_search
-from .distributed_tree import build_distributed_tree
-from .engine import Engine, EngineConfig, PartitionedDataset
+from .distributed_tree import TreeDataset, build_distributed_tree
+from .engine import Engine, EngineConfig
 from .fits import FitResult, fit_linear_nlogn, fit_scaling_model
 from .testdata import BOXES_PER_SQUARE, SquareGridSpec, generate_test_data
 
@@ -54,7 +54,8 @@ def _timer(phase: str, engine: Engine, boxes, cutoff: int) -> Callable[[], float
     ``cutoff``) or one search of ``boxes`` and returns its seconds.
 
     A search's tree and queries are made here, untimed, and each call
-    times a search against a fresh copy of the tree. Each call freezes
+    times a search of a fresh ``TreeDataset`` over the tree's columns,
+    which keeps no checked columns from an earlier call. Each call freezes
     the heap it starts from (``gc.freeze``), so that a full collection in
     it scans only what the timed code made, not the caller's whole heap.
     """
@@ -64,14 +65,12 @@ def _timer(phase: str, engine: Engine, boxes, cutoff: int) -> Callable[[], float
     if phase == "build":
         run = partial(build_distributed_tree, boxes, engine, cutoff)
     else:
-        tree_ds = build_distributed_tree(boxes, engine, 0)
+        columns = build_distributed_tree(boxes, engine, 0).columns
         search_ds = engine.from_items([(b.name, b) for b in boxes])
 
         def run() -> None:
-            # the same entries without the columns an earlier search kept on
-            # them, so each timed search pays the tree check and conversion as
-            # a CLI search does
-            run_search(search_ds, PartitionedDataset(engine, tree_ds.partitions))
+            # so each timed search pays the tree check, as a CLI search does
+            run_search(search_ds, TreeDataset(engine, columns))
 
     def once() -> float:
         gc.freeze()

@@ -18,11 +18,11 @@ from .bench import (
     run_scaling_bench,
     run_search_bench,
 )
-from .distributed_search import column_queries, file_tree, run_search
-from .distributed_tree import build_distributed_tree
+from .distributed_search import column_queries, run_search
+from .distributed_tree import TreeDataset, build_distributed_tree
 from .engine import Engine, EngineConfig
 from .fits import FitResult, fit_linear_nlogn, fit_scaling_model
-from .memory_tree import column_tree, entry_columns
+from .memory_tree import column_tree
 from .testdata import BOXES_PER_SQUARE, SquareGridSpec, generate_test_data, verify_search_results
 
 __all__ = ["main"]
@@ -98,14 +98,14 @@ def _cmd_gen(args) -> int:
 
 def _cmd_build(args) -> int:
     """At cutoff 0, the box columns go through the array build to the
-    writer; above it, through the engine build's entries."""
+    writer, with no engine; above it, through the engine build's columns."""
+    config = EngineConfig(args.workers)
     boxes = io.read_boxes_csv(args.infile)
-    with Engine(EngineConfig(args.workers)) as engine:
-        if args.cutoff == 0:
-            columns = column_tree(boxes)
-        else:
-            tree_ds = build_distributed_tree(boxes.boxes(), engine, args.cutoff)
-            columns = entry_columns(tree_ds.collect())
+    if args.cutoff == 0:
+        columns = column_tree(boxes)
+    else:
+        with Engine(config) as engine:
+            columns = build_distributed_tree(boxes.boxes(), engine, args.cutoff).columns
     io.write_tree_jsonl(args.out, columns)
     print(f"wrote {len(columns.names)} tree nodes to {args.out}")
     return 0
@@ -115,7 +115,7 @@ def _cmd_search(args) -> int:
     columns = io.read_tree_jsonl(args.tree)
     queries = io.read_boxes_csv(args.queries)
     with Engine(EngineConfig(args.workers)) as engine:
-        tree_ds = file_tree(engine, columns)
+        tree_ds = TreeDataset(engine, columns)
         grouped = run_search(column_queries(engine, queries), tree_ds).collect()
     io.write_results_csv(args.out, grouped)
     print(f"wrote {len(grouped)} result rows to {args.out}")

@@ -2,21 +2,18 @@
 
 The search first finds the root with ``tree_root_name``, which is also
 the one place that checks the tree: a tree that is not one walkable tree
-(bad or misnamed box, duplicate or missing node, a child name without a
-region or the reverse, several roots, a cycle, a region that misses its
-subtree) raises ValueError before any query runs, whether it was read
-from a file or built in-process.
+(bad box, duplicate or missing node, several roots, a cycle, a region
+that misses its subtree) raises ValueError before any query runs,
+whether it was read from a file or built in-process.
 
-A tree comes in two forms. An in-process tree is a dataset of (name,
-TreeNodeValue) entries, which the check first zips into raw columns
-(``memory_tree.entry_columns``); a tree file is read straight into raw
-columns (``io.read_tree_jsonl``) and searched as a one-element dataset
-holding them (``file_tree``). ``memory_tree.tree_columns`` lays out both
-forms' raw columns: numpy arrays over node positions (name order, so a
-node's position is its name's rank) of the names, the boxes with the
-child regions, and the child names, -1 for no child.
-From there both forms take one path: the check maps child names to
-positions by binary search and checks the columns with array passes:
+Every tree is a ``distributed_tree.TreeDataset``, which holds the tree's
+raw columns: the build's, or a tree file's (``io.read_tree_jsonl``). The
+search reads only those columns, never the dataset's entries, and refuses
+any other dataset. The columns are numpy arrays over node positions
+(name order, so a node's position is its name's rank) of the names, the
+boxes with the child regions, and the child names, -1 for no child, as
+``memory_tree.tree_columns`` lays them out. The check maps child names
+to positions by binary search and checks the columns with array passes:
 in-degrees by ``bincount``, reachability by a level walk down from the
 root, and the subtrees' regions by the build's merge, ``subtree_regions``.
 The checked columns are kept on the tree dataset
@@ -46,13 +43,12 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .distributed_tree import TreeDataset
 from .engine import Engine, PairDataset, PartitionedDataset
 from .geometry import Box, validate_box
-from .memory_tree import (BoxColumns, TreeColumns, coordinate_block, entry_columns, name_column,
-                          subtree_regions)
+from .memory_tree import BoxColumns, TreeColumns, coordinate_block, name_column, subtree_regions
 
 __all__ = [
-    "file_tree",
     "column_queries",
     "tree_root_name",
     "init_queries",
@@ -102,15 +98,6 @@ class _Block(NamedTuple):
     node: Optional[np.ndarray]
 
 
-def file_tree(engine: Engine, columns: TreeColumns) -> PairDataset:
-    """A tree dataset of a tree file's columns, searched like any other.
-
-    Its one element holds ``columns``; ``tree_root_name`` checks them
-    where it checks an in-process tree's entries.
-    """
-    return engine.from_items([(None, columns)], 1)
-
-
 def column_queries(engine: Engine, boxes: BoxColumns) -> PairDataset:
     """A query dataset of boxes as columns, searched like (name, box) items.
 
@@ -121,17 +108,16 @@ def column_queries(engine: Engine, boxes: BoxColumns) -> PairDataset:
     return engine.from_items([(None, boxes)], 1)
 
 
-def _columns(tree_ds: PairDataset) -> PairDataset:
+def _columns(tree_ds: TreeDataset) -> PairDataset:
     """The tree's one (root name, _Tree) block, checked and kept on ``tree_ds``."""
     return tree_ds.cached("distributed_search.columns", _to_columns)
 
 
-def _to_columns(tree_ds: PairDataset) -> PairDataset:
-    items = tree_ds.collect()
-    if len(items) == 1 and isinstance(items[0][1], TreeColumns):
-        columns = items[0][1]
-    else:
-        columns = entry_columns(items)
+def _to_columns(tree_ds: TreeDataset) -> PairDataset:
+    if not isinstance(tree_ds, TreeDataset):
+        raise ValueError("a tree must be a TreeDataset, as build_distributed_tree builds it"
+                         " and TreeDataset(engine, columns) holds a tree file's columns")
+    columns = tree_ds.columns
     if not len(columns.names):
         return tree_ds.engine.from_items([])
     tree = _check(columns)
@@ -209,17 +195,15 @@ def _child_positions(names: np.ndarray, child_names: np.ndarray) -> np.ndarray:
     return np.where(names[at] == child_names, at, np.where(child_names < 0, -1, -2))
 
 
-def tree_root_name(tree_ds: PairDataset) -> Optional[int]:
+def tree_root_name(tree_ds: TreeDataset) -> Optional[int]:
     """Name of the tree's root; None if ``tree_ds`` is empty.
 
-    Raises ValueError unless the entries, or a ``file_tree``'s columns,
-    form one tree a search can walk:
-    every box is valid and named by its entry's key, and every name is
-    unique; a child has a name exactly when it has a region, and every
-    child name has an entry; exactly one entry is no entry's child; the
-    walk down from it reaches every entry exactly once; and every child
-    region encloses the boxes of its subtree. The checked columns are kept
-    on ``tree_ds``.
+    Raises ValueError unless ``tree_ds`` is a ``TreeDataset`` whose
+    columns form one tree a search can walk: every box is valid, and
+    every name is unique; every child name has a node; exactly one node
+    is no node's child; the walk down from it reaches every node exactly
+    once; and every child region encloses the boxes of its subtree. The
+    checked columns are kept on ``tree_ds``.
     """
     columns = _columns(tree_ds)
     return None if columns.is_empty() else columns.first()[0]
@@ -250,7 +234,7 @@ def init_queries(search_ds: PairDataset, root_name: Optional[int]) -> PairDatase
 
 
 def search_iteration(
-    query_ds: PairDataset, tree_ds: PairDataset
+    query_ds: PairDataset, tree_ds: TreeDataset
 ) -> Tuple[PairDataset, PairDataset]:
     """One breadth-first pass: visit, test, descend.
 
@@ -310,7 +294,7 @@ def _is_frontier(element) -> bool:
     return element[0] is not None
 
 
-def run_search(search_ds: PairDataset, tree_ds: PairDataset) -> PairDataset:
+def run_search(search_ds: PairDataset, tree_ds: TreeDataset) -> PairDataset:
     """Search the tree with every query box; group matches per query.
 
     Returns a pair dataset of (query name, ascending tuple of intersecting
@@ -329,7 +313,7 @@ def run_search(search_ds: PairDataset, tree_ds: PairDataset) -> PairDataset:
     return search_ds.engine.from_items(_group(blocks, tree_ds))
 
 
-def _group(blocks: List[_Block], tree_ds: PairDataset) -> List[Tuple[int, tuple]]:
+def _group(blocks: List[_Block], tree_ds: TreeDataset) -> List[Tuple[int, tuple]]:
     """(query name, ascending tuple of node names) per query, by query name.
 
     Queries that share a name share a row, each node named once.

@@ -1,4 +1,4 @@
-"""Distributed tree build: the tree as a pair dataset of named nodes.
+"""Distributed tree build: the tree as one dataset of named nodes.
 
 The upper tree is built by subdividing four presorted datasets (x_min,
 y_min, x_max and y_max super-key order) with the memory build's
@@ -9,23 +9,34 @@ to its parent. At a cutoff depth the current datasets are collected to
 arrays, and the subtrees below are built by the memory-resident
 algorithm, which is several orders of magnitude faster per element, as
 one ``flat_map`` over a dataset of subtree jobs on the engine's workers.
-At cutoff 0 nothing is subdivided, so there is no four-way presort and
-no job: the caller's thread presorts the boxes in memory and builds the
-whole tree (on a worker thread, the allocator would keep the build's
-numpy temporaries in that thread's arena and raise the peak memory).
+The entries of both are laid out as raw columns once, at the end
+(``memory_tree.entry_columns``). At cutoff 0 nothing is subdivided, so
+there is no four-way presort and no job: the caller's thread presorts
+the boxes in memory and builds the whole tree straight to raw columns
+(``memory_tree.box_tree``), with no object per node (on a worker thread,
+the allocator would keep the build's numpy temporaries in that thread's
+arena and raise the peak memory).
+
+Every in-process tree is a ``TreeDataset``: it holds the raw columns,
+which the search reads, and its elements are the (name, TreeNodeValue)
+entries. Above cutoff 0 they are the ones the build made; at cutoff 0
+they are made from the columns, only when they are read.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .engine import Engine, PairDataset, PartitionedDataset
+from .engine import Engine, PartitionedDataset
 from .geometry import (AXIS_XMAX, AXIS_XMIN, AXIS_YMAX, AXIS_YMIN, Box, Region, ensure_unique_names,
                        superkey)
-from .memory_tree import TreeGraphEntry, TreeNodeValue, build_memory_tree, presort
+from .memory_tree import (TreeColumns, TreeGraphEntry, TreeNodeValue, box_tree, build_memory_tree,
+                          entry_columns, tree_entries)
 
 __all__ = [
+    "TreeDataset",
     "four_way_presort",
     "region_from_sorted",
     "build_distributed_tree",
@@ -70,34 +81,67 @@ def region_from_sorted(
     return Region(*[float(v) or 0.0 for v in extremes])
 
 
+class TreeDataset(PartitionedDataset):
+    """A tree as one dataset: its raw columns (``columns``, a
+    ``TreeColumns``), which the search reads, whose elements are the
+    tree's (name, TreeNodeValue) entries in name order.
+
+    Every in-process tree is one: ``build_distributed_tree`` returns it,
+    and ``TreeDataset(engine, columns)`` holds a tree file's columns. The
+    elements are made, in one partition, the first time ``partitions`` is
+    read: ``entries()`` returns them in any order, and by default makes
+    them from the columns.
+    """
+
+    __slots__ = ("columns", "_entries", "_view")
+
+    def __init__(self, engine: Engine, columns: TreeColumns,
+                 entries: Optional[Callable[[], Iterable[TreeGraphEntry]]] = None):
+        # no PartitionedDataset.__init__: this class's partitions are made on first read
+        self.engine, self.columns, self._cache = engine, columns, {}
+        self._entries = entries or partial(tree_entries, columns)
+        self._view: Optional[Tuple[tuple]] = None
+
+    @property
+    def partitions(self) -> Tuple[tuple]:
+        if self._view is None:
+            self._view = (tuple(sorted(self._entries(), key=itemgetter(0))),)
+        return self._view
+
+
 def build_distributed_tree(
     boxes: Sequence[Box], engine: Engine, cutoff: int = 0
-) -> PairDataset:
-    """Build the tree as a pair dataset of (name, TreeNodeValue) entries.
+) -> TreeDataset:
+    """Build the tree as a ``TreeDataset``, whose elements are the
+    (name, TreeNodeValue) entries.
 
     Depths above ``cutoff`` are built by subdividing the four sorted
     datasets, each branch returning its root's name and region upward as
     the memory build does; at the cutoff the x_min/y_min datasets are
     collected to arrays, and every such branch becomes one subtree job
-    that the engine builds in memory. The default of 0 subdivides nothing:
-    the boxes are presorted in memory, with no four-way presort, and built
-    in the calling thread, not on the engine. The entry set is identical
-    for every cutoff and worker count, and equals ``build_memory_tree``'s.
+    that the engine builds in memory; the entries of both are laid out as
+    columns once, at the end. The default of 0 subdivides nothing: the
+    boxes are presorted in memory, with no four-way presort, and built in
+    the calling thread, not on the engine, straight to columns. The entry
+    set is identical for every cutoff and worker count, and equals
+    ``build_memory_tree``'s.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff depth must be >= 0, got {cutoff}")
     boxes = list(boxes)
-    if not boxes:
-        return engine.from_items([])
-    if cutoff == 0:
+    if cutoff == 0 or not boxes:
         # nothing is subdivided on the engine: sort only what the memory build
         # reads, and build in this thread, whose heap the build's arrays reuse
-        return engine.from_items(build_memory_tree(*presort(boxes)))
+        columns = box_tree(boxes)
+        return TreeDataset(engine, columns, partial(tree_entries, columns, boxes))
     entries: List[TreeGraphEntry] = []
     jobs: List[_SubtreeJob] = []
     _build(four_way_presort(engine, boxes), len(boxes), 0, cutoff, entries, jobs)
-    subtrees = engine.from_items(jobs).flat_map(lambda job: build_memory_tree(*job))
-    return engine.from_items(entries + subtrees.collect())
+    entries += engine.from_items(jobs).flat_map(lambda job: build_memory_tree(*job)).collect()
+    # these entries are the dataset's elements: made again from the columns,
+    # every region float and name would be a new object, where the engine
+    # build's share the boxes' (about 1 MB more at 2^12 nodes)
+    return TreeDataset(engine, entry_columns(entries), lambda: entries)
 
 
 def _build(ds4, n, depth, cutoff, entries, jobs) -> Tuple[Optional[int], Optional[Region]]:

@@ -13,22 +13,27 @@ subtree's float64 extremes, a zero extreme +0.0, in every build.
 
 That one build core (``_build``) has two outputs:
 
-- ``column_tree``: boxes as columns (``BoxColumns``, as
-  ``io.read_boxes_csv`` reads them), presorted by ``np.lexsort``, to the
-  tree's raw columns in name order (``TreeColumns``), which
-  ``io.write_tree_jsonl`` formats and the search checks. No Python
-  object is made per box or node; ``boxtree build`` takes this path.
+- the tree's raw columns in name order (``TreeColumns``), which
+  ``io.write_tree_jsonl`` formats and the search checks, with no Python
+  object per node. ``column_tree`` builds them from boxes as columns
+  (``BoxColumns``, as ``io.read_boxes_csv`` reads them), presorted by
+  ``np.lexsort``, with no object per box either; ``boxtree build`` takes
+  this path. ``box_tree`` builds them from ``Box`` objects on
+  ``presort``'s orders, which compare the caller's values exactly; the
+  in-process build takes this path.
 - ``build_memory_tree``: boxes presorted by ``presort`` to
   (name, TreeNodeValue) entries in pre-order, root first, which name
-  each node's children and their regions. It is the view the engine
-  build and in-process trees use; its boxes are the caller's objects,
-  and its regions hold Python floats, as every search reads them.
+  each node's children and their regions. The engine build's subtree
+  jobs return them; its boxes are the caller's objects, and its regions
+  hold Python floats, as every search reads them.
 
 ``tree_columns`` lays out every ``TreeColumns`` from nodes in any
-order: ``column_tree``'s, the tree file's and those of entries
-(``entry_columns``, the inverse of ``build_memory_tree``). Every name
-column follows ``name_column``: int64, or Python ints once a name
-reaches 2^63, with -1 for "no child" in either.
+order: the builds', the tree file's and those of entries
+(``entry_columns``). ``tree_entries`` is its inverse: the entries of
+columns, in name order, which the tree dataset of a cutoff-0 build or of
+a tree file makes only when they are read. Every name column follows
+``name_column``: int64, or Python ints once a name reaches 2^63, with -1
+for "no child" in either.
 """
 
 from __future__ import annotations
@@ -50,7 +55,9 @@ __all__ = [
     "coordinate_block",
     "tree_columns",
     "column_tree",
+    "box_tree",
     "entry_columns",
+    "tree_entries",
     "subtree_regions",
     "presort",
     "build_memory_tree",
@@ -145,10 +152,19 @@ def presort(boxes: Sequence[Box]) -> Tuple[List[Box], List[Box]]:
     Raises DuplicateNameError when two boxes share a name, because the
     super-key order is only total for unique names.
     """
+    return tuple(list(map(boxes.__getitem__, order)) for order in _presort_orders(boxes))
+
+
+def _presort_orders(boxes: Sequence[Box]) -> Tuple[List[int], List[int]]:
+    """``presort``'s two orders, as indices into ``boxes``: the super keys
+    of the caller's coordinates and names, compared exactly."""
     ensure_unique_names(boxes)
-    x_sorted = sorted(boxes, key=lambda b: (b[1], b[0]))
-    y_sorted = sorted(boxes, key=lambda b: (b[2], b[0]))
-    return x_sorted, y_sorted
+    names = list(map(itemgetter(0), boxes))
+    orders = []
+    for axis in (AXIS_XMIN, AXIS_YMIN):
+        keys = list(zip(map(itemgetter(1 + axis), boxes), names))
+        orders.append(sorted(range(len(boxes)), key=keys.__getitem__))
+    return orders[0], orders[1]
 
 
 def build_memory_tree(
@@ -213,12 +229,33 @@ def column_tree(boxes: BoxColumns) -> TreeColumns:
     in name order.
 
     The tree of ``build_memory_tree(*presort(boxes.boxes()))``:
-    ``np.lexsort`` presorts the columns, and the build's box indices and
-    regions give each box's child names and regions.
+    ``np.lexsort`` presorts the float64 columns.
     """
     names, coords = boxes
     x_order = np.lexsort((names, coords[AXIS_XMIN]))
     y_order = np.lexsort((names, coords[AXIS_YMIN]))
+    return _laid_out(names, coords, x_order, y_order)
+
+
+def box_tree(boxes: Sequence[Box]) -> TreeColumns:
+    """The tree of ``build_memory_tree(*presort(boxes))`` as raw columns in
+    name order, with no object made per node.
+
+    The build takes ``presort``'s orders, which compare the caller's
+    values exactly: a float64 presort, as ``column_tree``'s, ties the
+    ints from 2^53 that a double rounds to one value, and builds another
+    tree. Raises DuplicateNameError as ``presort`` does.
+    """
+    x_order, y_order = (np.array(order, np.intp) for order in _presort_orders(boxes))
+    names = name_column(list(map(itemgetter(0), boxes)))
+    coords = coordinate_block(map(itemgetter(slice(1, None)), boxes), len(boxes))
+    return _laid_out(names, coords, x_order, y_order)
+
+
+def _laid_out(names, coords, x_order, y_order) -> TreeColumns:
+    """The raw columns of the tree of the boxes ``names``, ``coords`` (4, n),
+    given their x and y super-key orders: the build's box indices and
+    regions give each box's child names and regions."""
     node_box, links, regions = _build(coords, x_order, y_order, 0)
     # each box's pre-order position: the nodes go in box order, so the boxes need no gather
     pre = np.empty_like(node_box)
@@ -226,6 +263,30 @@ def column_tree(boxes: BoxColumns) -> TreeColumns:
     sides = ((kid >= 0, names[node_box[kid[kid >= 0]]], regions[:, kid[kid >= 0]])
              for kid in (link[pre] for link in links))
     return tree_columns(names, coords, sides)
+
+
+def tree_entries(columns: TreeColumns, boxes: Optional[Sequence[Box]] = None) -> List[TreeGraphEntry]:
+    """The (name, TreeNodeValue) entries of raw columns, in their order:
+    the inverse of ``entry_columns``.
+
+    ``boxes`` are the nodes' boxes, one per name, in any order; by
+    default they are made from the columns. The regions hold Python
+    floats, as ``build_memory_tree``'s.
+    """
+    names, rects, children = columns
+    n = len(names)
+    if boxes is None:
+        boxes = map(Box, names.tolist(), *rects[:, 0].tolist())
+    else:
+        boxes = sorted(boxes, key=itemgetter(0))
+    links = []
+    for side in (0, 1):
+        has = children[:, side] >= 0
+        child_names, regions = np.full(n, None, object), np.full(n, None, object)
+        child_names[has] = children[has, side]  # Python ints from int64
+        regions[has] = np.fromiter(map(Region, *rects[:, 1 + side, has].tolist()), object, int(has.sum()))
+        links += [child_names, regions]
+    return list(zip(names.tolist(), map(TreeNodeValue, boxes, *links)))
 
 
 def _build(coords, x_order, y_order, depth):
@@ -327,21 +388,28 @@ def subtree_regions(boxes: np.ndarray, links: Sequence, levels: Sequence) -> np.
 
 
 def tree_depth(entries: Sequence[TreeGraphEntry]) -> int:
-    """Levels of the tree rooted at the first entry (0 for none, 1 for a leaf).
+    """Levels of the tree (0 for none, 1 for a leaf), walked down from its
+    root: the one entry that no entry names as a child, in any order.
 
-    Raises ValueError for a child name with no entry, and once the walk
-    down passes ``len(entries)`` levels, which only a cycle makes it do.
+    Raises ValueError for a child name with no entry, for entries with
+    no root or several, and once the walk down passes ``len(entries)``
+    levels, which only a cycle makes it do.
     """
     by_name = dict(entries)
+    children = set()
     for name, value in entries:
         for child in (value.lt_name, value.gt_name):
-            if child is not None and child not in by_name:
-                raise ValueError(f"node {name}: child {child} has no entry")
-    level = [entries[0][0]] if entries else []
-    depth = 0
+            if child is not None:
+                if child not in by_name:
+                    raise ValueError(f"node {name}: child {child} has no entry")
+                children.add(child)
+    roots = [name for name, _ in entries if name not in children]
+    if entries and len(roots) != 1:
+        raise ValueError(f"the entries have {len(roots)} roots, expected 1")
+    level, depth = roots, 0
     while level:
         if depth == len(entries):
-            raise ValueError(f"the entries below node {entries[0][0]} form a cycle")
+            raise ValueError(f"the entries below node {roots[0]} form a cycle")
         values = [by_name[name] for name in level]
         level = [c for v in values for c in (v.lt_name, v.gt_name) if c is not None]
         depth += 1

@@ -2,10 +2,10 @@ from boxtree import bench
 from boxtree.distributed_search import run_search
 
 
-def test_every_timed_search_hashes_its_tree(monkeypatch):
+def test_every_timed_search_checks_its_tree(monkeypatch):
     # the search keeps the tree's checked columns on the dataset; a repeat
-    # that reused the dataset would time a search without the check and
-    # conversion the CLI pays
+    # that reused the dataset would time a search without the check the
+    # CLI pays
     trees = []
 
     def spy(search_ds, tree_ds):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from boxtree import cli, distributed_search, io, memory_tree
+from boxtree import cli, io, memory_tree
 from boxtree.bench import FULL_DEPTH
 from boxtree.cli import main
 from boxtree.distributed_tree import build_distributed_tree
@@ -69,7 +69,7 @@ class TestBuildSearchPipeline:
             raise AssertionError("a per-node object was made")
 
         for owner, name in ((io, "_read_tree_lines"), (io, "Region"), (io, "TreeNodeValue"),
-                            (io, "entry_columns"), (distributed_search, "entry_columns")):
+                            (io, "entry_columns")):
             monkeypatch.setattr(owner, name, refuse)
         code = run(["search", "--tree", tree, "--queries", boxes_csv, "--workers", 2,
                     "--out", tmp_path / "results.csv", "--verify"])
@@ -78,7 +78,8 @@ class TestBuildSearchPipeline:
 
     def test_build_makes_no_object_per_node(self, tmp_path, boxes_csv, monkeypatch, capsys):
         # at cutoff 0 the box CSV is read whole into columns, built on arrays
-        # and written from them: no Box, Region, TreeNodeValue or entry is made
+        # and written from them, with no engine: no Box, Region, TreeNodeValue
+        # or entry is made
         expected = tmp_path / "expected.jsonl"
         assert run(["build", "--in", boxes_csv, "--workers", 2, "--out", expected]) == 0
 
@@ -88,7 +89,8 @@ class TestBuildSearchPipeline:
         for owner, name in ((io, "_read_rows"), (io, "Box"), (memory_tree, "Box"),
                             (memory_tree, "Region"), (memory_tree, "TreeNodeValue"),
                             (memory_tree, "presort"), (memory_tree, "build_memory_tree"),
-                            (cli, "build_distributed_tree"), (cli, "entry_columns")):
+                            (memory_tree, "entry_columns"), (cli, "build_distributed_tree"),
+                            (cli, "Engine")):
             monkeypatch.setattr(owner, name, refuse)
         tree = tmp_path / "tree.jsonl"
         assert run(["build", "--in", boxes_csv, "--workers", 2, "--out", tree]) == 0
@@ -184,6 +186,23 @@ class TestBuildSearchPipeline:
         boxes.write_text(io.BOX_CSV_HEADER + "\n1_0,0,0,1_0.5,1\n")
         assert run(["build", "--in", boxes, "--workers", 1, "--out", tmp_path / "t.jsonl"]) == 2
         assert "boxes.csv:2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("build", ["--workers", 0], "workers must be >= 1, got 0"),
+        ("search", ["--workers", 0], "workers must be >= 1, got 0"),
+        ("build", ["--workers", 1, "--cutoff-depth", -1], "cutoff depth must be >= 0, got -1"),
+    ])
+    def test_bad_engine_flag_exits_2(self, tmp_path, boxes_csv, capsys, command, flags, message):
+        tree = tmp_path / "tree.jsonl"
+        assert run(["build", "--in", boxes_csv, "--workers", 1, "--out", tree]) == 0
+        capsys.readouterr()
+        if command == "build":
+            files = ["--in", boxes_csv, "--out", tmp_path / "built.jsonl"]
+        else:
+            files = ["--tree", tree, "--queries", boxes_csv, "--out", tmp_path / "r.csv"]
+        assert run([command, *files, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "built.jsonl").exists() and not (tmp_path / "r.csv").exists()
 
     def test_missing_input_exits_2(self, tmp_path):
         code = run(["build", "--in", tmp_path / "nope.csv", "--workers", 1,

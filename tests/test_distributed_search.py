@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import boxtree
-from boxtree import distributed_search, io
+from boxtree import distributed_search, io, memory_tree
+from boxtree.bench import FULL_DEPTH
 from boxtree.engine import Engine, EngineConfig, PartitionedDataset
 from boxtree.geometry import Box, Region, boxes_intersect
-from boxtree.memory_tree import build_memory_tree, presort, tree_depth
-from boxtree.distributed_tree import TreeNodeValue, build_distributed_tree
+from boxtree.memory_tree import build_memory_tree, entry_columns, presort, tree_depth
+from boxtree.distributed_tree import TreeDataset, TreeNodeValue, build_distributed_tree
 from boxtree.distributed_search import (
     init_queries,
     run_search,
@@ -40,6 +41,11 @@ def engine():
 
 def search_dataset(engine, boxes):
     return engine.from_items([(b.name, b) for b in boxes])
+
+
+def entry_tree(engine, entries):
+    """A tree dataset of (name, TreeNodeValue) entries, as the search takes them."""
+    return TreeDataset(engine, entry_columns(entries))
 
 
 def grouped_dict(result_ds):
@@ -84,14 +90,23 @@ class TestRootName:
         assert tree_root_name(tree_ds) == entries[0][0]
 
     def test_empty_tree(self, engine):
-        assert tree_root_name(engine.from_items([])) is None
+        assert tree_root_name(entry_tree(engine, [])) is None
 
     def test_built_trees_and_the_empty_tree_pass(self):
         with Engine(EngineConfig(workers=2)) as engine:
             for n, cutoff in ((1, 0), (2, 0), (33, 2), (100, 64)):
                 tree_ds = build_distributed_tree(random_boxes(n, seed=n), engine, cutoff)
                 assert tree_root_name(tree_ds) is not None
-            assert tree_root_name(engine.from_items([])) is None
+            assert tree_root_name(entry_tree(engine, [])) is None
+
+    def test_a_dataset_of_entries_is_refused(self, engine):
+        boxes = random_boxes(15, seed=0)
+        entries = build_distributed_tree(boxes, engine, 0).collect()
+        message = ("a tree must be a TreeDataset, as build_distributed_tree builds it"
+                   " and TreeDataset(engine, columns) holds a tree file's columns")
+        for tree_ds in (engine.from_items(entries), engine.from_items([])):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run_search(search_dataset(engine, boxes), tree_ds)
 
 
 def tight_region(boxes):
@@ -132,14 +147,14 @@ class TestAcceptedTrees:
                                     region.x_max + pad, region.y_max + pad)
                 links += [child, region]
             loose.append((name, TreeNodeValue(value.box, *links)))
-        tree_ds = engine.from_items(loose)
+        tree_ds = entry_tree(engine, loose)
         assert tree_root_name(tree_ds) == entries[0][0]
         result = run_search(search_dataset(engine, boxes), tree_ds)
         assert grouped_dict(result) == brute_force_intersections(boxes)
 
     def test_long_chain_is_searched(self, engine):
         boxes = random_boxes(2000, seed=9, max_side=80.0)
-        tree_ds = engine.from_items(chain_entries(boxes))
+        tree_ds = entry_tree(engine, chain_entries(boxes))
         assert tree_root_name(tree_ds) == boxes[0].name
         queries = boxes[::50] + [Box(5000, 400.0, 400.0, 600.0, 600.0)]
         expected = {}
@@ -175,7 +190,7 @@ def test_child_region_short_of_its_subtree_is_named(engine, n, seed, pick, coord
                            (tight[coordinate] + outward, False)):
         region = Region(*tight[:coordinate], moved, *tight[coordinate + 1:])
         changed = value._replace(**{("lt_region", "gt_region")[side]: region})
-        tree_ds = engine.from_items(entries[:i] + [(name, changed)] + entries[i + 1:])
+        tree_ds = entry_tree(engine, entries[:i] + [(name, changed)] + entries[i + 1:])
         if refused:
             message = f"node {name}: region of child {child} misses its subtree"
             with pytest.raises(ValueError, match=f"^{message}$"):
@@ -217,11 +232,10 @@ def tree_entries(lines):
 
 @pytest.mark.parametrize("case", sorted(set(BAD_TREES) - PARSE_ERRORS))
 def test_in_process_bad_tree_is_refused(engine, case):
-    tree_ds = engine.from_items(tree_entries(BAD_TREES[case]))
     # overlaps every region of the bad trees, so a search would descend into each defect
     query = Box(50, 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        run_search(search_dataset(engine, [query]), tree_ds)
+        run_search(search_dataset(engine, [query]), entry_tree(engine, tree_entries(BAD_TREES[case])))
 
 
 @pytest.mark.parametrize("case", sorted(set(BAD_TREES) - PARSE_ERRORS))
@@ -232,8 +246,8 @@ def test_file_tree_is_refused_as_its_entries_are(engine, tmp_path, case):
     path.write_text("".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n"
                             for line in BAD_TREES[case]))
     messages = []
-    for tree_ds in (distributed_search.file_tree(engine, io.read_tree_jsonl(path)),
-                    engine.from_items(tree_entries(BAD_TREES[case]))):
+    for tree_ds in (TreeDataset(engine, io.read_tree_jsonl(path)),
+                    entry_tree(engine, tree_entries(BAD_TREES[case]))):
         with pytest.raises(ValueError) as refused:
             tree_root_name(tree_ds)
         messages.append(str(refused.value))
@@ -246,8 +260,8 @@ def test_deepest_missed_region_is_named(engine, tmp_path):
     lines = BAD_TREES["two-regions-miss-subtrees"]
     path = tmp_path / "tree.jsonl"
     path.write_text("".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n" for line in lines))
-    for tree_ds in (distributed_search.file_tree(engine, io.read_tree_jsonl(path)),
-                    engine.from_items(tree_entries(lines))):
+    for tree_ds in (TreeDataset(engine, io.read_tree_jsonl(path)),
+                    entry_tree(engine, tree_entries(lines))):
         with pytest.raises(ValueError, match="^node 2: region of child 3 misses its subtree$"):
             tree_root_name(tree_ds)
 
@@ -272,10 +286,9 @@ BAD_VALUES = {
 
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
 def test_in_process_bad_value_is_refused(engine, case):
-    tree_ds = engine.from_items(BAD_VALUES[case])
     query = Box(7, 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        run_search(search_dataset(engine, [query]), tree_ds)
+        run_search(search_dataset(engine, [query]), entry_tree(engine, BAD_VALUES[case]))
 
 
 class TestInitQueries:
@@ -440,12 +453,26 @@ class TestRunSearch:
         assert grouped == brute_force_intersections(boxes)
 
     def test_empty_search_empty_tree(self, engine):
-        empty = engine.from_items([])
-        assert run_search(empty, empty).collect() == []
+        assert run_search(engine.from_items([]), entry_tree(engine, [])).collect() == []
 
     def test_nonempty_search_empty_tree_rejected(self, engine):
         with pytest.raises(ValueError):
-            run_search(search_dataset(engine, random_boxes(3, seed=0)), engine.from_items([]))
+            run_search(search_dataset(engine, random_boxes(3, seed=0)), entry_tree(engine, []))
+
+    @pytest.mark.parametrize("cutoff", [0, 2, FULL_DEPTH])
+    def test_in_process_search_converts_nothing(self, engine, monkeypatch, cutoff):
+        # the search reads the built tree's columns: it zips no entries into
+        # columns and makes none
+        boxes = random_boxes(200, seed=52, max_side=120.0)
+        tree_ds = build_distributed_tree(boxes, engine, cutoff)
+
+        def refuse(*args):
+            raise AssertionError("the search converted the tree")
+
+        for name in ("entry_columns", "TreeNodeValue", "Region"):
+            monkeypatch.setattr(memory_tree, name, refuse)
+        grouped = grouped_dict(run_search(search_dataset(engine, boxes), tree_ds))
+        assert grouped == brute_force_intersections(boxes)
 
     @pytest.mark.parametrize("n,seed", [(64, 40), (256, 41), (1024, 42)])
     def test_completeness_vs_brute_force(self, engine, n, seed):
@@ -501,14 +528,20 @@ class TestIterationBehaviour:
         assert seen
         assert len(seen) == len(set(seen))
 
-    def test_tree_collected_a_fixed_number_of_times(self, engine, monkeypatch):
-        # the tree is hashed once per search, not once per pass
-        collects = Counter()
+    def test_tree_checked_once_per_search(self, engine, monkeypatch):
+        # once per search, not once per pass, and from its columns: the
+        # tree dataset's entries are never collected
+        collects, checks = Counter(), []
         original_collect = PartitionedDataset.collect
+        original_check = distributed_search._check
 
         def counting_collect(ds):
             collects[id(ds)] += 1
             return original_collect(ds)
+
+        def counting_check(columns):
+            checks[-1] += 1
+            return original_check(columns)
 
         passes = []
         original_iteration = distributed_search.search_iteration
@@ -518,32 +551,34 @@ class TestIterationBehaviour:
             return original_iteration(queries, tree_ds)
 
         monkeypatch.setattr(PartitionedDataset, "collect", counting_collect)
+        monkeypatch.setattr(distributed_search, "_check", counting_check)
         monkeypatch.setattr(distributed_search, "search_iteration", counting_iteration)
-        tree_collects = []
         for n in (3, 500):
             boxes = random_boxes(n, seed=n)
             tree_ds = build_distributed_tree(boxes, engine, 0)
             collects.clear()
             passes.append(0)
+            checks.append(0)
             run_search(search_dataset(engine, boxes), tree_ds)
-            tree_collects.append(collects[id(tree_ds)])
+            assert collects[id(tree_ds)] == 0
         assert passes[0] < passes[1]
-        assert tree_collects[0] == tree_collects[1] <= 2
+        assert checks == [1, 1]
 
 
 # A tree built in-process, not read from a file: 0 -> 1 -> 2 -> 1.
 CYCLIC_TREE_SEARCH = """
 from boxtree.distributed_search import run_search
-from boxtree.distributed_tree import TreeNodeValue
+from boxtree.distributed_tree import TreeDataset, TreeNodeValue
 from boxtree.engine import Engine
 from boxtree.geometry import Box, Region
+from boxtree.memory_tree import entry_columns
 
 unit = Region(0.0, 0.0, 1.0, 1.0)
 with Engine() as engine:
-    tree_ds = engine.from_items([
+    tree_ds = TreeDataset(engine, entry_columns([
         (name, TreeNodeValue(Box(name, *unit), child, unit, None, None))
         for name, child in ((0, 1), (1, 2), (2, 1))
-    ])
+    ]))
     try:
         run_search(engine.from_items([(9, Box(9, 0.5, 0.5, 2.0, 2.0))]), tree_ds)
     except ValueError as exc:

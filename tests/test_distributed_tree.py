@@ -2,10 +2,11 @@ import inspect
 import math
 import threading
 from functools import reduce
+from operator import itemgetter
 
 import pytest
 
-from boxtree import distributed_tree
+from boxtree import distributed_tree, memory_tree
 from boxtree.bench import FULL_DEPTH
 from boxtree.engine import Engine, EngineConfig, PartitionedDataset
 from boxtree.geometry import (
@@ -160,18 +161,29 @@ class TestBuild:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_cutoff_0_builds_in_the_calling_thread(self, monkeypatch, workers):
         # a build on an engine thread leaves its numpy temporaries in that
-        # thread's malloc arena, which raises the peak memory
+        # thread's malloc arena, which raises the peak memory. The build is
+        # columnar: no per-node object is made until the entries are read,
+        # and then they are the memory build's, by repr
         threads = []
+        box_tree = distributed_tree.box_tree
 
-        def recording_build(*args):
+        def recording_build(boxes):
             threads.append(threading.current_thread())
-            return build_memory_tree(*args)
+            return box_tree(boxes)
 
-        monkeypatch.setattr(distributed_tree, "build_memory_tree", recording_build)
+        def refuse(*args):
+            raise AssertionError("a per-node object was made")
+
+        monkeypatch.setattr(distributed_tree, "box_tree", recording_build)
         boxes = random_boxes(300, seed=32)
-        with Engine(EngineConfig(workers=workers)) as eng:
-            assert set(build_distributed_tree(boxes, eng, 0).collect()) == memory_entries(boxes)
+        with Engine(EngineConfig(workers=workers)) as eng, monkeypatch.context() as idle:
+            for owner, name in ((memory_tree, "Box"), (memory_tree, "Region"), (memory_tree, "TreeNodeValue"),
+                                (memory_tree, "build_memory_tree"), (distributed_tree, "build_memory_tree")):
+                idle.setattr(owner, name, refuse)
+            tree_ds = build_distributed_tree(boxes, eng, 0)
         assert threads == [threading.current_thread()]
+        want = sorted(build_memory_tree(*presort(boxes)), key=itemgetter(0))
+        assert repr(tree_ds.collect()) == repr(want)
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_engine_build_does_not_look_ahead(self, monkeypatch, workers):

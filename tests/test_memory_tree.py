@@ -328,7 +328,7 @@ class TestTreeDepth:
         assert tree_depth(build(random_boxes(n, seed=n))) == levels
 
     def test_counts_levels_of_an_unbalanced_chain(self):
-        # the depth is walked from the first entry, not derived from the size
+        # the depth is walked from the root, not derived from the size
         unit = Region(0.0, 0.0, 1.0, 1.0)
         chain = [
             (0, TreeNodeValue(Box(0, *unit), None, None, 1, unit)),
@@ -336,6 +336,19 @@ class TestTreeDepth:
             (2, TreeNodeValue(Box(2, *unit), None, None, None, None)),
         ]
         assert tree_depth(chain) == 3
+
+    def test_walks_from_the_root_in_any_entry_order(self):
+        # the root is the entry no entry names as a child, wherever it is
+        entries = build(random_boxes(100, seed=1))
+        assert tree_depth(entries) == 7
+        assert tree_depth(sorted(entries, key=itemgetter(0))) == 7
+        assert tree_depth(entries[::-1]) == 7
+
+    def test_refuses_several_roots(self):
+        unit = Region(0.0, 0.0, 1.0, 1.0)
+        leaves = [(name, TreeNodeValue(Box(name, *unit), None, None, None, None)) for name in (0, 1)]
+        with pytest.raises(ValueError, match="^the entries have 2 roots, expected 1$"):
+            tree_depth(leaves)
 
 
 class TestMissingChild:
@@ -354,18 +367,20 @@ class TestMissingChild:
             tree_depth([self.node_1])
 
 
-# 0 -> 1 -> 0, each box and region [0, 0, 1, 1]
+# 0 -> 1 -> 0, with no root, and 0 -> 1 -> 2 -> 1, a cycle below the
+# root; each box and region [0, 0, 1, 1]
 CYCLIC_TREE_DEPTH = """
 from boxtree.geometry import Box, Region
 from boxtree.memory_tree import TreeNodeValue, tree_depth
 
 unit = Region(0.0, 0.0, 1.0, 1.0)
-entries = [(name, TreeNodeValue(Box(name, *unit), child, unit, None, None))
-           for name, child in ((0, 1), (1, 0))]
-try:
-    tree_depth(entries)
-except ValueError as exc:
-    print("refused:", exc)
+for links in (((0, 1), (1, 0)), ((0, 1), (1, 2), (2, 1))):
+    entries = [(name, TreeNodeValue(Box(name, *unit), child, unit, None, None))
+               for name, child in links]
+    try:
+        tree_depth(entries)
+    except ValueError as exc:
+        print("refused:", exc)
 """
 
 
@@ -380,7 +395,8 @@ def test_cyclic_entries_are_refused_not_walked_forever():
     except subprocess.TimeoutExpired:
         pytest.fail("tree_depth was still walking after 30 s on a cyclic entry list")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("refused:"), proc.stdout
+    assert proc.stdout.splitlines() == ["refused: the entries have 0 roots, expected 1",
+                                        "refused: the entries below node 0 form a cycle"], proc.stdout
 
 
 class CountingFloat(float):

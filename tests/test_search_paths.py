@@ -5,9 +5,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from boxtree.bench import FULL_DEPTH
 from boxtree.distributed_search import run_search
-from boxtree.distributed_tree import build_distributed_tree
+from boxtree.distributed_tree import TreeDataset, build_distributed_tree
 from boxtree.engine import Engine, EngineConfig
 from boxtree.geometry import Box
+from boxtree.memory_tree import entry_columns
 
 BIG = 1e15
 
@@ -87,7 +88,7 @@ def test_every_search_path_matches_brute_force(engines, case):
         for cutoff in (0, 2, FULL_DEPTH):
             built = build_distributed_tree(tree, engine, cutoff)
             entries = built.collect()
-            shuffled = engine.from_items([entries[i] for i in order])
+            shuffled = TreeDataset(engine, entry_columns([entries[i] for i in order]))
             for layout, tree_ds in (("built", built), ("shuffled", shuffled)):
                 got = {k: list(v) for k, v in run_search(search_ds, tree_ds).collect()}
                 assert got == expected, (engine.config.workers, cutoff, layout)
